@@ -22,6 +22,9 @@
 #                     differential suites, under BNN_THREADS=1 and 4
 #   make bench-serving - replay the serving harness and record the results
 #                     as BENCH_serving.json
+#   make perfbench  - the repository benchmark (BENCHMARK.json): all four
+#                     workloads, one process each, end-to-end metrics
+#   make test-perfbench - the benchmark's own unit tests
 #   make lint       - rustfmt check + clippy with warnings denied
 #   make doc        - rustdoc with warnings denied
 #   make ci         - everything the merge gate runs
@@ -33,7 +36,7 @@ CARGO ?= cargo
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build test test-doc test-st test-scalar test-plans test-serving test-robust test-adaptive test-hls bench bench-build bench-quant bench-save bench-serving lint fmt doc clean ci
+.PHONY: all build test test-doc test-st test-scalar test-plans test-serving test-robust test-adaptive test-hls test-perfbench bench bench-build bench-quant bench-save bench-serving perfbench lint fmt doc clean ci
 
 all: build
 
@@ -127,6 +130,17 @@ bench-save:
 bench-serving:
 	$(CARGO) run --release -p bnn-bench --bin bench_serving -- BENCH_serving.json
 
+# The repository benchmark as BENCHMARK.json declares it, over every
+# workload.
+perfbench:
+	$(CARGO) run --release --quiet --offline --locked --manifest-path perfbench/Cargo.toml -- --workload all
+
+# The benchmark is a workspace of its own, so the root `cargo test` does not
+# reach its unit tests (argument parsing, statistics, load generation,
+# tracing).
+test-perfbench:
+	$(CARGO) test -q --offline --locked --manifest-path perfbench/Cargo.toml
+
 lint:
 	$(CARGO) fmt --check
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
@@ -140,4 +154,4 @@ doc:
 clean:
 	$(CARGO) clean
 
-ci: lint build test test-doc test-st test-scalar test-plans test-serving test-robust test-adaptive test-hls bench-build doc
+ci: lint build test test-doc test-st test-scalar test-plans test-serving test-robust test-adaptive test-hls test-perfbench bench-build doc

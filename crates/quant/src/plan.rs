@@ -8,11 +8,12 @@
 //! dies), weights are packed **once** into the transposed/widened `i16`
 //! layout the integer matmul kernels consume, and every intermediate — code
 //! slots, the im2col scratch, accumulators, dropout masks, softmax staging —
-//! lives in a preallocated tensor arena. After a warm-up call that sizes the
-//! arena for the batch, [`QuantPlan::predict_probs_into`] performs **zero
-//! heap allocations** in the steady state (on a sequential executor; the
-//! thread-pool fan-out of large kernels allocates its scoped workers by
-//! design).
+//! lives in a preallocated tensor arena, together with the MC-dropout mask
+//! streams. After a warm-up call that sizes the arena for the batch,
+//! [`QuantPlan::predict_probs_into`] performs **zero heap allocations** in
+//! the steady state, and so does [`QuantPlan::predict_probs_batch_into`] on
+//! a sequential executor (the row-shard fork/join of a multi-threaded one
+//! allocates its scoped workers by design).
 //!
 //! The plan executes exactly the arithmetic of the unplanned path — same
 //! kernels modulo exact-integer reassociation, same requantization, same
@@ -20,15 +21,34 @@
 //! predictions are **bit-exact** against each other for every format; the
 //! parity suite in `tests/planned_parity.rs` pins this.
 //!
+//! # Threading
+//!
+//! Every plan kernel runs inline on the calling thread. Parallelism is by
+//! **row sharding**: [`QuantPlan::predict_probs_batch_into`] splits the batch
+//! into `min(threads, batch)` contiguous row shards and runs the whole call
+//! for each shard — input quantization, backbone, every MC pass with its
+//! reseed, exits, softmax and accumulation into the shard's own rows of the
+//! output — on an arena of its own, in one fork/join per batch. The steps
+//! are read-only during execution (the mask streams live in the arenas), so
+//! the shards share them without copies. Per-sample masks make this
+//! bit-exact with the unsharded call: every kernel reads one sample, and
+//! every shard draws the same per-sample masks from `stream_seed(seed,
+//! pass)`. The plan does not shard on a sequential executor or when called
+//! from inside a parallel region. The per-batch-mask entry points
+//! ([`QuantPlan::predict_probs_into`], [`QuantPlan::forward_exits_int`]) and
+//! the adaptive entry run inline on one arena: per-batch masks depend on the
+//! whole batch, and adaptive compaction moves rows across the batch.
+//!
 //! ```text
 //! CalibratedNetwork ──ranges──► compile(format)
 //!   │                              │  flatten ops · derive QuantParams
 //!   │                              │  pack weights (i16, transposed)
 //!   │                              ▼  plan slot liveness
-//! (one float pass,            QuantPlan { steps, arena }
+//! (one float pass,            QuantPlan { steps, arenas }
 //!  shared by all formats)         │
-//!                                 ▼  run many: predict_probs_into
-//!                            zero steady-state allocation
+//!                                 ▼  run many: predict_probs_batch_into
+//!                            rows 0..k ─► arena 0 ┐
+//!                            rows k..n ─► arena 1 ┴─► out (disjoint rows)
 //! ```
 
 use crate::calib::{CalibratedNetwork, RecordCursor};
@@ -41,7 +61,7 @@ use crate::schedule::{PlanSchedule, ScheduleExit, ScheduleOp, ScheduleStep};
 use bnn_models::{AdaptivePrediction, AdaptiveStats, ExitPolicy};
 use bnn_nn::layer::Mode;
 use bnn_nn::lowering::LayerLowering;
-use bnn_tensor::exec::Executor;
+use bnn_tensor::exec::{in_parallel_region, Executor};
 use bnn_tensor::int::{
     im2row_i16_into, matmul_abt_i64_into, matmul_wide_i32_into, requantize,
     requantize_i32_row_biased_into, requantize_i32_row_into, requantize_i64_row_biased_into,
@@ -51,10 +71,6 @@ use bnn_tensor::linalg::ConvGeometry;
 use bnn_tensor::ops::softmax_rows_into;
 use bnn_tensor::rng::{stream_seed, Rng, SplitMix64, Xoshiro256StarStar};
 use bnn_tensor::Tensor;
-
-/// Minimum multiply-accumulate count before a plan kernel fans out over the
-/// parallel executor (the same threshold as the unplanned integer kernels).
-const PAR_MACS_THRESHOLD: usize = 1 << 20;
 
 /// A packed convolution: weights widened/flattened to `[out_c, in_c*k*k]`
 /// `i16` once at compile time (the unplanned path re-packs per call).
@@ -115,7 +131,8 @@ enum StepKind {
         rate: f64,
         scale_q: i64,
         params: QuantParams,
-        rng: Xoshiro256StarStar,
+        /// Index of this step's mask stream in [`Arena::streams`].
+        stream: usize,
     },
     /// Residual merge: requantize both paths to the output format, add,
     /// clamp into `[0, qmax]` (the merged ReLU).
@@ -183,11 +200,15 @@ enum MaskGranularity {
     PerSample,
 }
 
-/// The preallocated tensor arena: activation slots plus the shared scratch
-/// buffers. All sizes grow monotonically with the largest batch seen, so the
-/// steady state of repeated same-batch calls never reallocates.
+/// The preallocated tensor arena: activation slots, the shared scratch
+/// buffers and the MC-dropout mask streams. All sizes grow monotonically
+/// with the largest batch seen, so the steady state of repeated same-batch
+/// calls never reallocates. A row shard owns one arena.
 #[derive(Debug, Clone, Default)]
 struct Arena {
+    /// One mask stream per MC-dropout step, in flat step order (backbone,
+    /// then exits in attachment order).
+    streams: Vec<Xoshiro256StarStar>,
     slots: Vec<Vec<i16>>,
     cols: Vec<i16>,
     acc32: Vec<i32>,
@@ -200,6 +221,18 @@ struct Arena {
     acc: Vec<f32>,
     /// Adaptive execution: original sample index of each live row.
     live_idx: Vec<usize>,
+}
+
+impl Arena {
+    /// Reseeds every mask stream from `master_seed` in flat step order — the
+    /// same stream assignment as the unplanned network's
+    /// `reseed_mc_streams`.
+    fn reseed(&mut self, master_seed: u64) {
+        let mut seeds = SplitMix64::new(master_seed);
+        for rng in &mut self.streams {
+            *rng = Xoshiro256StarStar::seed_from_u64(seeds.next_u64());
+        }
+    }
 }
 
 /// A compiled, arena-allocated execution plan for the integer inference of
@@ -260,7 +293,11 @@ pub struct QuantPlan {
     acc_unit: usize,
     mask_unit: usize,
     logit_unit: usize,
-    arena: Arena,
+    /// Number of MC-dropout steps (mask streams per arena).
+    n_streams: usize,
+    /// One arena per row shard; the inline entry points use the first.
+    arenas: Vec<Arena>,
+    /// Row-shard executor; `None` resolves to [`Executor::global`] per call.
     exec: Option<Executor>,
 }
 
@@ -281,6 +318,7 @@ struct PlanBuilder {
     cols_unit: usize,
     acc_unit: usize,
     mask_unit: usize,
+    n_streams: usize,
 }
 
 impl PlanBuilder {
@@ -527,12 +565,15 @@ impl PlanBuilder {
                     in_dims.iter().product()
                 };
                 self.mask_unit = self.mask_unit.max(unit);
+                // Steps are emitted in flat order, so stream ids follow the
+                // unplanned network's reseed walk.
+                self.n_streams += 1;
                 *cur = self.push(
                     StepKind::McDropout {
                         rate: *rate,
                         scale_q: dropout_scale_q(*rate),
                         params: *params,
-                        rng: Xoshiro256StarStar::seed_from_u64(0),
+                        stream: self.n_streams - 1,
                     },
                     *cur,
                     None,
@@ -623,6 +664,7 @@ impl QuantPlan {
             cols_unit: 0,
             acc_unit: 0,
             mask_unit: 0,
+            n_streams: 0,
         };
         let input_value = builder.new_value(calibrated.in_dims.clone());
 
@@ -780,9 +822,7 @@ impl QuantPlan {
             .map(|&v| builder.values[v].dims.iter().product())
             .collect();
 
-        let mut arena = Arena::default();
-        arena.slots.resize(slot_elems.len(), Vec::new());
-        Ok(QuantPlan {
+        let mut plan = QuantPlan {
             format,
             width: in_params.width(),
             classes: calibrated.classes,
@@ -799,9 +839,12 @@ impl QuantPlan {
             acc_unit: builder.acc_unit,
             mask_unit: builder.mask_unit,
             logit_unit,
-            arena,
+            n_streams: builder.n_streams,
+            arenas: Vec::new(),
             exec: None,
-        })
+        };
+        plan.ensure_arenas(1, 0);
+        Ok(plan)
     }
 
     /// The format this plan was compiled for.
@@ -825,11 +868,18 @@ impl QuantPlan {
         &self.in_dims
     }
 
-    /// Pre-sizes the arena for `max_batch` samples, so a serving worker can
-    /// pay every allocation up front and subsequent calls with any batch up
-    /// to `max_batch` stay allocation-free. Monotone: never shrinks.
+    /// Pre-sizes the arenas for `max_batch` samples, so a serving worker can
+    /// pay every allocation up front and subsequent
+    /// [`QuantPlan::predict_probs_batch_into`] calls with any batch up to
+    /// `max_batch` stay allocation-free (on a sequential executor). Each of
+    /// the `T` row-shard arenas gets `⌈max_batch / T⌉` rows, so the total
+    /// stays that of one `max_batch`-row arena; on a sequential executor
+    /// that is the single arena the inline entry points use too. Monotone:
+    /// never shrinks.
     pub fn ensure_batch(&mut self, max_batch: usize) {
-        self.ensure_arena(max_batch.max(1));
+        let batch = max_batch.max(1);
+        let shards = self.row_shards(batch);
+        self.ensure_arenas(shards, batch.div_ceil(shards));
     }
 
     /// Number of flattened steps (backbone plus all exits).
@@ -895,7 +945,7 @@ impl QuantPlan {
                     rate,
                     scale_q,
                     params,
-                    rng: _,
+                    stream: _,
                 } => ScheduleOp::McDropout {
                     rate: *rate,
                     scale_q: *scale_q,
@@ -944,11 +994,14 @@ impl QuantPlan {
         }
     }
 
-    /// Pins every kernel in this plan to `exec` instead of the work-size
-    /// based auto selection. `Executor::sequential()` makes the steady state
-    /// strictly allocation-free (the thread-pool fan-out of large kernels
-    /// allocates its scoped workers); results are bitwise identical either
-    /// way.
+    /// Sets the row-shard executor of
+    /// [`QuantPlan::predict_probs_batch_into`]: a batch is split into
+    /// `min(exec.threads(), batch)` contiguous row shards that run in one
+    /// fork/join. Without a call the plan shards over
+    /// [`Executor::global`]. `Executor::sequential()` runs every call inline
+    /// and makes the steady state strictly allocation-free (the fork/join
+    /// allocates its scoped workers). Every kernel runs inline either way,
+    /// and results are bitwise identical for every executor.
     pub fn set_executor(&mut self, exec: Executor) {
         self.exec = Some(exec);
     }
@@ -957,58 +1010,77 @@ impl QuantPlan {
     /// step list (backbone, then exits in attachment order) — the same
     /// stream assignment as the unplanned network's `reseed_mc_streams`.
     pub fn reseed_mc_streams(&mut self, master_seed: u64) {
-        let mut streams = SplitMix64::new(master_seed);
-        for step in self
-            .backbone
-            .iter_mut()
-            .chain(self.exits.iter_mut().flat_map(|e| e.steps.iter_mut()))
-        {
-            if let StepKind::McDropout { rng, .. } = &mut step.kind {
-                *rng = Xoshiro256StarStar::seed_from_u64(streams.next_u64());
-            }
+        for arena in &mut self.arenas {
+            arena.reseed(master_seed);
         }
     }
 
-    /// Grows the arena for `batch` samples (monotone: repeated calls with
-    /// the same or smaller batch perform no allocation).
-    fn ensure_arena(&mut self, batch: usize) {
-        for (slot, &unit) in self.arena.slots.iter_mut().zip(&self.slot_elems) {
-            let need = unit * batch;
-            if slot.len() < need {
-                slot.resize(need, 0);
-            }
+    /// Number of row shards a `batch`-row call of
+    /// [`QuantPlan::predict_probs_batch_into`] splits into: one on a
+    /// sequential executor or inside a parallel region.
+    fn row_shards(&self, batch: usize) -> usize {
+        if in_parallel_region() {
+            return 1;
         }
-        let grow = |v: &mut Vec<i16>, need: usize| {
+        let exec = self.exec.unwrap_or_else(Executor::global);
+        exec.threads().min(batch).max(1)
+    }
+
+    /// Grows the first `count` arenas for `rows` samples each (monotone:
+    /// repeated calls with the same or smaller sizes perform no
+    /// allocation).
+    fn ensure_arenas(&mut self, count: usize, rows: usize) {
+        fn grow<T: Clone + Default>(v: &mut Vec<T>, need: usize) {
             if v.len() < need {
-                v.resize(need, 0);
+                v.resize(need, T::default());
             }
+        }
+        if self.arenas.len() < count {
+            self.arenas.resize_with(count, Arena::default);
+        }
+        let (acc32, acc64) = match self.width {
+            IntWidth::W8 => (self.acc_unit * rows, 0),
+            IntWidth::W16 => (0, self.acc_unit * rows),
         };
-        grow(&mut self.arena.cols, self.cols_unit * batch);
-        if self.arena.acc32.len() < self.acc_unit * batch && self.width == IntWidth::W8 {
-            self.arena.acc32.resize(self.acc_unit * batch, 0);
-        }
-        if self.arena.acc64.len() < self.acc_unit * batch && self.width == IntWidth::W16 {
-            self.arena.acc64.resize(self.acc_unit * batch, 0);
-        }
-        if self.arena.mask.len() < self.mask_unit * batch {
-            self.arena.mask.resize(self.mask_unit * batch, false);
-        }
-        if self.arena.logits.len() < self.logit_unit * batch {
-            self.arena.logits.resize(self.logit_unit * batch, 0.0);
-        }
-        if self.arena.probs.len() < self.logit_unit * batch {
-            self.arena.probs.resize(self.logit_unit * batch, 0.0);
-        }
-        if self.arena.acc.len() < self.classes * batch {
-            self.arena.acc.resize(self.classes * batch, 0.0);
-        }
-        if self.arena.live_idx.len() < batch {
-            self.arena.live_idx.resize(batch, 0);
+        for arena in &mut self.arenas[..count] {
+            if arena.streams.len() < self.n_streams {
+                let unseeded = Xoshiro256StarStar::seed_from_u64(0);
+                arena.streams.resize(self.n_streams, unseeded);
+            }
+            grow(&mut arena.slots, self.slot_elems.len());
+            for (slot, &unit) in arena.slots.iter_mut().zip(&self.slot_elems) {
+                grow(slot, unit * rows);
+            }
+            grow(&mut arena.cols, self.cols_unit * rows);
+            grow(&mut arena.acc32, acc32);
+            grow(&mut arena.acc64, acc64);
+            grow(&mut arena.mask, self.mask_unit * rows);
+            grow(&mut arena.logits, self.logit_unit * rows);
+            grow(&mut arena.probs, self.logit_unit * rows);
+            grow(&mut arena.acc, self.classes * rows);
+            grow(&mut arena.live_idx, rows);
         }
     }
 
-    /// Quantizes the float input batch into the input slot.
-    fn load_input(&mut self, inputs: &Tensor) -> Result<usize, QuantError> {
+    /// Runs `f` on the plan and its first `count` arenas, grown for `rows`
+    /// samples each. The arenas are moved out for the call, so `f` can share
+    /// the plan's steps across shard threads while each shard mutates its
+    /// own arena.
+    fn with_arenas<R>(
+        &mut self,
+        count: usize,
+        rows: usize,
+        f: impl FnOnce(&Self, &mut [Arena]) -> R,
+    ) -> R {
+        self.ensure_arenas(count, rows);
+        let mut arenas = std::mem::take(&mut self.arenas);
+        let result = f(self, &mut arenas[..count]);
+        self.arenas = arenas;
+        result
+    }
+
+    /// Checks the input shape, returning the batch size.
+    fn check_input(&self, inputs: &Tensor) -> Result<usize, QuantError> {
         if inputs.dims().len() != self.in_dims.len() + 1 || inputs.dims()[1..] != self.in_dims[..] {
             return Err(QuantError::InvalidInput(format!(
                 "plan expects input dims [batch, {:?}], got {:?}",
@@ -1019,32 +1091,32 @@ impl QuantPlan {
         if inputs.dims()[0] == 0 {
             return Err(QuantError::InvalidInput("empty input batch".into()));
         }
-        let batch = inputs.dims()[0];
-        self.ensure_arena(batch);
+        Ok(inputs.dims()[0])
+    }
+
+    /// Quantizes float input rows into the arena's input slot.
+    fn load_input(&self, arena: &mut Arena, inputs: &[f32]) {
         let params = self.in_params;
-        let slot = &mut self.arena.slots[self.input_slot];
-        for (dst, &v) in slot.iter_mut().zip(inputs.as_slice()) {
+        for (dst, &v) in arena.slots[self.input_slot].iter_mut().zip(inputs) {
             *dst = params.quantize_value(v) as i16;
         }
-        Ok(batch)
     }
 
     /// Runs a step slice at `batch` live rows, returning
     /// `(invocations, ops)` where ops is the static per-sample estimate
     /// summed over the slice and scaled by the batch.
     fn run_steps(
-        steps: &mut [Step],
+        steps: &[Step],
         arena: &mut Arena,
         width: IntWidth,
-        exec: Option<Executor>,
         batch: usize,
         mode: Mode,
         masks: MaskGranularity,
     ) -> Result<(u64, u64), QuantError> {
         let invocations = steps.len() as u64;
         let mut ops = 0u64;
-        for step in steps.iter_mut() {
-            run_step(step, arena, width, exec, batch, mode, masks)?;
+        for step in steps {
+            run_step(step, arena, width, batch, mode, masks)?;
             ops += step.ops * batch as u64;
         }
         Ok((invocations, ops))
@@ -1053,7 +1125,7 @@ impl QuantPlan {
     /// Runs the backbone deterministically and the exit branches in `mode`,
     /// returning one dequantized logit tensor per exit — the planned
     /// counterpart of the unplanned `forward_exits_int` (bit-exact against
-    /// it).
+    /// it). Runs inline on the first arena.
     ///
     /// # Errors
     ///
@@ -1063,41 +1135,41 @@ impl QuantPlan {
         inputs: &Tensor,
         mode: Mode,
     ) -> Result<Vec<Tensor>, QuantError> {
-        let batch = self.load_input(inputs)?;
-        let exec = self.exec;
-        let width = self.width;
-        Self::run_steps(
-            &mut self.backbone,
-            &mut self.arena,
-            width,
-            exec,
-            batch,
-            Mode::Eval,
-            MaskGranularity::PerBatch,
-        )?;
-        let mut outputs = Vec::with_capacity(self.exits.len());
-        for exit in &mut self.exits {
+        let batch = self.check_input(inputs)?;
+        self.with_arenas(1, batch, |plan, arenas| {
+            let arena = &mut arenas[0];
+            plan.load_input(arena, inputs.as_slice());
             Self::run_steps(
-                &mut exit.steps,
-                &mut self.arena,
-                width,
-                exec,
+                &plan.backbone,
+                arena,
+                plan.width,
                 batch,
-                mode,
+                Mode::Eval,
                 MaskGranularity::PerBatch,
             )?;
-            let elems: usize = exit.out_dims.iter().product::<usize>() * batch;
-            let scale = exit.out_params.scale();
-            let data: Vec<f32> = self.arena.slots[exit.out_slot][..elems]
-                .iter()
-                .map(|&c| c as f32 * scale)
-                .collect();
-            let mut dims = Vec::with_capacity(exit.out_dims.len() + 1);
-            dims.push(batch);
-            dims.extend_from_slice(&exit.out_dims);
-            outputs.push(Tensor::from_vec(data, &dims)?);
-        }
-        Ok(outputs)
+            let mut outputs = Vec::with_capacity(plan.exits.len());
+            for exit in &plan.exits {
+                Self::run_steps(
+                    &exit.steps,
+                    arena,
+                    plan.width,
+                    batch,
+                    mode,
+                    MaskGranularity::PerBatch,
+                )?;
+                let elems: usize = exit.out_dims.iter().product::<usize>() * batch;
+                let scale = exit.out_params.scale();
+                let data: Vec<f32> = arena.slots[exit.out_slot][..elems]
+                    .iter()
+                    .map(|&c| c as f32 * scale)
+                    .collect();
+                let mut dims = Vec::with_capacity(exit.out_dims.len() + 1);
+                dims.push(batch);
+                dims.extend_from_slice(&exit.out_dims);
+                outputs.push(Tensor::from_vec(data, &dims)?);
+            }
+            Ok(outputs)
+        })
     }
 
     /// Seeded Monte-Carlo prediction into a caller-provided buffer: the
@@ -1106,7 +1178,8 @@ impl QuantPlan {
     /// [`Mode::McSample`], and the first `n_samples` per-sample softmax
     /// tensors are averaged into `out` (`[batch, classes]`, resized).
     /// Bit-exact with the unplanned `predict_probs`; zero steady-state heap
-    /// allocation once the arena is warm (sequential executor).
+    /// allocation once the arena is warm. Runs inline on the first arena:
+    /// its per-batch masks depend on the whole batch.
     ///
     /// # Errors
     ///
@@ -1132,8 +1205,11 @@ impl QuantPlan {
     /// `[a, b, c]` and every response stays identical. For `batch == 1` it
     /// is bit-exact with [`QuantPlan::predict_probs_into`] itself.
     ///
-    /// Zero steady-state heap allocation once the arena is warm for the
-    /// batch (sequential executor); see [`QuantPlan::ensure_batch`].
+    /// The batch runs as `min(threads, batch)` row shards in one fork/join
+    /// (see [`QuantPlan::set_executor`] and the
+    /// [module documentation](self#threading)). Zero steady-state heap
+    /// allocation once the arena is warm for the batch (sequential
+    /// executor); see [`QuantPlan::ensure_batch`].
     ///
     /// # Errors
     ///
@@ -1173,70 +1249,90 @@ impl QuantPlan {
         out: &mut Vec<f32>,
         masks: MaskGranularity,
     ) -> Result<(usize, usize), QuantError> {
-        let n_exits = self.exits.len();
-        if n_exits == 0 {
+        if self.exits.is_empty() {
             return Err(QuantError::Internal("plan has no exits".into()));
         }
-        let batch = self.load_input(inputs)?;
-        let exec = self.exec;
-        let width = self.width;
-        Self::run_steps(
-            &mut self.backbone,
-            &mut self.arena,
-            width,
-            exec,
-            batch,
-            Mode::Eval,
-            masks,
-        )?;
+        let batch = self.check_input(inputs)?;
+        // Per-batch masks depend on the whole batch, so only the per-sample
+        // entry shards.
+        let shards = match masks {
+            MaskGranularity::PerBatch => 1,
+            MaskGranularity::PerSample => self.row_shards(batch),
+        };
+        let rows = batch.div_ceil(shards);
+        // Uneven splits can leave a thread without a shard (5 rows on 4
+        // threads run as 2 + 2 + 1).
+        let shards = batch.div_ceil(rows);
+        let classes = self.classes;
+        out.resize(batch * classes, 0.0);
+        self.with_arenas(shards, rows, |plan, arenas| {
+            if let [arena] = arenas {
+                return plan.predict_rows(arena, inputs.as_slice(), n_samples, seed, masks, out);
+            }
+            let exec = plan.exec.unwrap_or_else(Executor::global);
+            let in_unit: usize = plan.in_dims.iter().product();
+            let mut work: Vec<_> = arenas
+                .iter_mut()
+                .zip(inputs.as_slice().chunks(rows * in_unit))
+                .zip(out.chunks_mut(rows * classes))
+                .collect();
+            exec.par_map_mut(&mut work, |_, ((arena, x), o)| {
+                plan.predict_rows(arena, x, n_samples, seed, masks, o)
+            })
+            .into_iter()
+            .collect()
+        })?;
+        Ok((batch, classes))
+    }
+
+    /// The fixed-depth MC prediction of the input rows `inputs` on one
+    /// arena, averaged into `out` (`[rows, classes]`).
+    fn predict_rows(
+        &self,
+        arena: &mut Arena,
+        inputs: &[f32],
+        n_samples: usize,
+        seed: u64,
+        masks: MaskGranularity,
+        out: &mut [f32],
+    ) -> Result<(), QuantError> {
+        let rows = out.len() / self.classes;
+        self.load_input(arena, inputs);
+        Self::run_steps(&self.backbone, arena, self.width, rows, Mode::Eval, masks)?;
+        let n_exits = self.exits.len();
         let passes = n_samples.div_ceil(n_exits).max(1);
         let kept = if n_samples == 0 {
             passes * n_exits
         } else {
             n_samples.min(passes * n_exits)
         };
-        let elems = batch * self.classes;
-        if out.len() != elems {
-            out.clear();
-            out.resize(elems, 0.0);
-        } else {
-            out.fill(0.0);
-        }
+        out.fill(0.0);
         let mut sample = 0usize;
         'passes: for pass in 0..passes {
-            self.reseed_mc_streams(stream_seed(seed, pass as u64));
-            for e in 0..n_exits {
+            arena.reseed(stream_seed(seed, pass as u64));
+            for exit in &self.exits {
                 if sample >= kept {
                     // Every remaining sample would be truncated anyway (the
                     // unplanned path computes and discards them; skipping is
                     // result-identical because exit streams are independent).
                     break 'passes;
                 }
-                Self::run_steps(
-                    &mut self.exits[e].steps,
-                    &mut self.arena,
-                    width,
-                    exec,
-                    batch,
-                    Mode::McSample,
-                    masks,
-                )?;
-                let (out_slot, out_params) = (self.exits[e].out_slot, self.exits[e].out_params);
-                let n: usize = self.exits[e].out_dims.iter().product::<usize>() * batch;
-                let scale = out_params.scale();
-                for (l, &c) in self.arena.logits[..n]
+                Self::run_steps(&exit.steps, arena, self.width, rows, Mode::McSample, masks)?;
+                let n: usize = exit.out_dims.iter().product::<usize>() * rows;
+                let scale = exit.out_params.scale();
+                for (l, &c) in arena.logits[..n]
                     .iter_mut()
-                    .zip(&self.arena.slots[out_slot][..n])
+                    .zip(&arena.slots[exit.out_slot][..n])
                 {
                     *l = c as f32 * scale;
                 }
                 softmax_rows_into(
-                    &self.arena.logits[..n],
-                    batch,
+                    &arena.logits[..n],
+                    rows,
                     self.classes,
-                    &mut self.arena.probs[..n],
+                    &mut arena.probs[..n],
                 )?;
-                for (o, &p) in out.iter_mut().zip(&self.arena.probs[..n]) {
+                for (o, &p) in out.iter_mut().zip(&arena.probs[..n]) {
                     *o += p;
                 }
                 sample += 1;
@@ -1246,7 +1342,7 @@ impl QuantPlan {
         for o in out.iter_mut() {
             *o *= inv;
         }
-        Ok((batch, self.classes))
+        Ok(())
     }
 
     /// [`QuantPlan::predict_probs_into`] returning a fresh tensor (the
@@ -1318,8 +1414,10 @@ impl QuantPlan {
     /// `n_samples > 0` the call delegates to
     /// [`QuantPlan::predict_probs_batch_into`] and is bit-exact with it.
     ///
-    /// Zero steady-state heap allocation once the arena is warm for the
-    /// batch (sequential executor); see [`QuantPlan::ensure_batch`].
+    /// Every other policy runs inline on the first arena, whatever the
+    /// executor: compaction gathers survivors across the whole batch. Zero
+    /// steady-state heap allocation once the arena is warm for the batch;
+    /// see [`QuantPlan::ensure_batch`].
     ///
     /// # Errors
     ///
@@ -1381,7 +1479,7 @@ impl QuantPlan {
         } else {
             Mode::McSample
         };
-        let batch = self.load_input(inputs)?;
+        let batch = self.check_input(inputs)?;
         let classes = self.classes;
         let (_, fixed_ops) = self.fixed_cost(batch, n_samples);
         let elems = batch * classes;
@@ -1391,115 +1489,115 @@ impl QuantPlan {
         }
         exit_taken.clear();
         exit_taken.resize(batch, 0);
-        for (i, v) in self.arena.live_idx[..batch].iter_mut().enumerate() {
-            *v = i;
-        }
-        self.arena.acc[..elems].fill(0.0);
 
-        let exec = self.exec;
-        let width = self.width;
-        let mut live = batch;
-        let mut next_bound = 0usize;
-        let mut steps_executed = 0u64;
-        let mut ops_executed = 0u64;
-
-        for e in 0..n_exits {
-            let after_block = self.exits[e].after_block;
-            let bound = self.block_bounds[after_block];
-            if bound > next_bound {
-                let (s, o) = Self::run_steps(
-                    &mut self.backbone[next_bound..bound],
-                    &mut self.arena,
-                    width,
-                    exec,
-                    live,
-                    Mode::Eval,
-                    MaskGranularity::PerSample,
-                )?;
-                steps_executed += s;
-                ops_executed += o;
-                next_bound = bound;
+        // Compaction moves rows across the batch, so the adaptive path runs
+        // inline on the first arena.
+        let (steps_executed, ops_executed) = self.with_arenas(1, batch, |plan, arenas| {
+            let arena = &mut arenas[0];
+            plan.load_input(arena, inputs.as_slice());
+            for (i, v) in arena.live_idx[..batch].iter_mut().enumerate() {
+                *v = i;
             }
-            for p in 0..spe {
-                if matches!(mode, Mode::McSample) {
-                    // Reseeding assigns every stream from the master seed, so
-                    // running only exit `e` afterwards draws the identical
-                    // masks the fixed path draws for this exit on pass `p`.
-                    self.reseed_mc_streams(stream_seed(seed, p as u64));
-                }
-                let (s, o) = Self::run_steps(
-                    &mut self.exits[e].steps,
-                    &mut self.arena,
-                    width,
-                    exec,
-                    live,
-                    mode,
-                    MaskGranularity::PerSample,
-                )?;
-                steps_executed += s;
-                ops_executed += o;
-                let (out_slot, out_params) = (self.exits[e].out_slot, self.exits[e].out_params);
-                let n: usize = self.exits[e].out_dims.iter().product::<usize>() * live;
-                let scale = out_params.scale();
-                for (l, &c) in self.arena.logits[..n]
-                    .iter_mut()
-                    .zip(&self.arena.slots[out_slot][..n])
-                {
-                    *l = c as f32 * scale;
-                }
-                softmax_rows_into(
-                    &self.arena.logits[..n],
-                    live,
-                    classes,
-                    &mut self.arena.probs[..n],
-                )?;
-                for (a, &p) in self.arena.acc[..n].iter_mut().zip(&self.arena.probs[..n]) {
-                    *a += p;
-                }
-            }
-            let consulted = ((e + 1) * spe) as f32;
-            let last = e + 1 == n_exits;
+            arena.acc[..elems].fill(0.0);
 
-            // Retire-or-compact pass: retired rows scatter their ensemble
-            // mean to their original output slot; survivors slide forward in
-            // the accumulator, the live-index map and the frontier block
-            // slot. The frontier slot is pinned — no backbone or exit step
-            // reuses it — so the gathered rows are exactly the block outputs
-            // the deeper segments read.
-            let frontier = self.block_slots[after_block];
-            let unit = self.block_units[after_block];
-            let arena = &mut self.arena;
-            let mut keep = 0usize;
-            for r in 0..live {
-                let start = r * classes;
-                let retire = last || policy.retires(&arena.acc[start..start + classes], consulted);
-                if retire {
-                    let orig = arena.live_idx[r];
-                    for c in 0..classes {
-                        out[orig * classes + c] = arena.acc[start + c] / consulted;
+            let width = plan.width;
+            let mut live = batch;
+            let mut next_bound = 0usize;
+            let mut steps_executed = 0u64;
+            let mut ops_executed = 0u64;
+
+            for (e, exit) in plan.exits.iter().enumerate() {
+                let after_block = exit.after_block;
+                let bound = plan.block_bounds[after_block];
+                if bound > next_bound {
+                    let (s, o) = Self::run_steps(
+                        &plan.backbone[next_bound..bound],
+                        arena,
+                        width,
+                        live,
+                        Mode::Eval,
+                        MaskGranularity::PerSample,
+                    )?;
+                    steps_executed += s;
+                    ops_executed += o;
+                    next_bound = bound;
+                }
+                for p in 0..spe {
+                    if matches!(mode, Mode::McSample) {
+                        // Reseeding assigns every stream from the master
+                        // seed, so running only exit `e` afterwards draws the
+                        // identical masks the fixed path draws for this exit
+                        // on pass `p`.
+                        arena.reseed(stream_seed(seed, p as u64));
                     }
-                    exit_taken[orig] = e;
-                } else {
-                    if keep != r {
-                        arena
-                            .acc
-                            .copy_within(start..start + classes, keep * classes);
-                        arena.live_idx[keep] = arena.live_idx[r];
-                        if !last {
-                            arena.slots[frontier]
-                                .copy_within(r * unit..(r + 1) * unit, keep * unit);
+                    let (s, o) = Self::run_steps(
+                        &exit.steps,
+                        arena,
+                        width,
+                        live,
+                        mode,
+                        MaskGranularity::PerSample,
+                    )?;
+                    steps_executed += s;
+                    ops_executed += o;
+                    let n: usize = exit.out_dims.iter().product::<usize>() * live;
+                    let scale = exit.out_params.scale();
+                    for (l, &c) in arena.logits[..n]
+                        .iter_mut()
+                        .zip(&arena.slots[exit.out_slot][..n])
+                    {
+                        *l = c as f32 * scale;
+                    }
+                    softmax_rows_into(&arena.logits[..n], live, classes, &mut arena.probs[..n])?;
+                    for (a, &p) in arena.acc[..n].iter_mut().zip(&arena.probs[..n]) {
+                        *a += p;
+                    }
+                }
+                let consulted = ((e + 1) * spe) as f32;
+                let last = e + 1 == n_exits;
+
+                // Retire-or-compact pass: retired rows scatter their ensemble
+                // mean to their original output slot; survivors slide forward
+                // in the accumulator, the live-index map and the frontier
+                // block slot. The frontier slot is pinned — no backbone or
+                // exit step reuses it — so the gathered rows are exactly the
+                // block outputs the deeper segments read.
+                let frontier = plan.block_slots[after_block];
+                let unit = plan.block_units[after_block];
+                let mut keep = 0usize;
+                for r in 0..live {
+                    let start = r * classes;
+                    let retire =
+                        last || policy.retires(&arena.acc[start..start + classes], consulted);
+                    if retire {
+                        let orig = arena.live_idx[r];
+                        for c in 0..classes {
+                            out[orig * classes + c] = arena.acc[start + c] / consulted;
                         }
+                        exit_taken[orig] = e;
+                    } else {
+                        if keep != r {
+                            arena
+                                .acc
+                                .copy_within(start..start + classes, keep * classes);
+                            arena.live_idx[keep] = arena.live_idx[r];
+                            if !last {
+                                arena.slots[frontier]
+                                    .copy_within(r * unit..(r + 1) * unit, keep * unit);
+                            }
+                        }
+                        keep += 1;
                     }
-                    keep += 1;
                 }
+                if keep == 0 {
+                    live = 0;
+                    break;
+                }
+                live = keep;
             }
-            if keep == 0 {
-                live = 0;
-                break;
-            }
-            live = keep;
-        }
-        debug_assert_eq!(live, 0, "every sample retires by the last exit");
+            debug_assert_eq!(live, 0, "every sample retires by the last exit");
+            Ok::<_, QuantError>((steps_executed, ops_executed))
+        })?;
 
         Ok(AdaptiveStats {
             batch,
@@ -1555,32 +1653,21 @@ impl CalibratedNetwork {
     }
 }
 
-/// Executes one flattened step on the arena.
+/// Executes one flattened step on the arena, inline on the calling thread
+/// (the plan parallelises by row shard, not per kernel).
 fn run_step(
-    step: &mut Step,
+    step: &Step,
     arena: &mut Arena,
     width: IntWidth,
-    exec: Option<Executor>,
     batch: usize,
     mode: Mode,
     masks: MaskGranularity,
 ) -> Result<(), QuantError> {
     let in_elems = step.in_elems() * batch;
     let out_elems = step.out_elems() * batch;
-    let pick_exec = |work: usize| -> Executor {
-        match exec {
-            Some(e) => e,
-            None => {
-                if work >= PAR_MACS_THRESHOLD {
-                    Executor::global()
-                } else {
-                    Executor::sequential()
-                }
-            }
-        }
-    };
+    let exec = Executor::sequential();
     let is_max_pool = matches!(step.kind, StepKind::MaxPool { .. });
-    match &mut step.kind {
+    match &step.kind {
         StepKind::Conv(conv) => {
             let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
             let geom = ConvGeometry::square(h, w, conv.kernel, conv.stride, conv.padding);
@@ -1592,7 +1679,6 @@ fn run_step(
                 let src = &arena.slots[step.src][..in_elems];
                 im2row_i16_into(src, batch, c, &geom, &mut arena.cols)?;
             }
-            let exec = pick_exec(conv.out_c * kred * ncols);
             let out = conv.out;
             let (qmin, qmax) = (out.qmin(), out.qmax());
             match width {
@@ -1659,7 +1745,6 @@ fn run_step(
             let mut dst = std::mem::take(&mut arena.slots[step.dst]);
             let out = dense.out;
             let (qmin, qmax) = (out.qmin(), out.qmax());
-            let exec = pick_exec(batch * dense.in_f * dense.out_f);
             match width {
                 IntWidth::W8 => {
                     let acc = &mut arena.acc32[..batch * dense.out_f];
@@ -1827,7 +1912,7 @@ fn run_step(
             rate,
             scale_q,
             params,
-            rng,
+            stream,
         } => {
             let sampling = mode.samples_mc_dropout() && *rate > 0.0;
             if !sampling {
@@ -1862,6 +1947,7 @@ fn run_step(
                 };
                 (per_sample, 1)
             };
+            let rng = &mut arena.streams[*stream];
             for m in arena.mask[..draws].iter_mut() {
                 *m = rng.bernoulli(keep);
             }
@@ -2197,6 +2283,35 @@ mod tests {
             plan.predict_probs(&no_batch_axis, 4, 1),
             Err(QuantError::InvalidInput(_))
         ));
+    }
+
+    #[test]
+    fn ensure_batch_splits_rows_across_shard_arenas() {
+        let net = lenet(61);
+        let calib = calib_batch(&[4, 1, 10, 10], 62);
+        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
+        let rows_of = |plan: &QuantPlan| -> Vec<usize> {
+            plan.arenas
+                .iter()
+                .map(|a| a.slots[plan.input_slot].len() / plan.slot_elems[plan.input_slot])
+                .collect()
+        };
+        // Three shards of ceil(7 / 3) rows: the total stays that of one
+        // 7-row arena, up to rounding.
+        let mut plan = calibrated.plan(fmt(8, 3)).unwrap();
+        plan.set_executor(Executor::new(3));
+        plan.ensure_batch(7);
+        assert_eq!(rows_of(&plan), vec![3, 3, 3]);
+        // A sequential plan keeps one arena at the full batch.
+        let mut plan = calibrated.plan(fmt(8, 3)).unwrap();
+        plan.set_executor(Executor::sequential());
+        plan.ensure_batch(7);
+        assert_eq!(rows_of(&plan), vec![7]);
+        // Inside a parallel region the plan does not shard.
+        plan.set_executor(Executor::new(3));
+        assert_eq!(plan.row_shards(7), 3);
+        let nested = Executor::new(2).par_map_indexed(&[0, 1], |_, _| plan.row_shards(7));
+        assert_eq!(nested, vec![1, 1]);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 use crate::error::ServeError;
 use bnn_models::{AdaptiveStats, ExitPolicy, MultiExitPlan};
 use bnn_quant::QuantPlan;
+use bnn_tensor::exec::Executor;
 use bnn_tensor::Tensor;
 
 /// A batch-capable inference engine a serving worker can own.
@@ -94,10 +95,11 @@ pub struct QuantEngine {
 }
 
 impl QuantEngine {
-    /// Wraps a compiled integer plan. Pin the plan to
-    /// `Executor::sequential()` first if the worker should stay strictly
-    /// allocation-free (results are bitwise identical either way).
-    pub fn new(plan: QuantPlan) -> Self {
+    /// Wraps a compiled integer plan, pinned to `Executor::sequential()`:
+    /// serving workers are the parallelism, so each batch runs inline on its
+    /// worker and stays allocation-free in the steady state.
+    pub fn new(mut plan: QuantPlan) -> Self {
+        plan.set_executor(Executor::sequential());
         QuantEngine { plan }
     }
 }

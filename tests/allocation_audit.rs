@@ -1,9 +1,9 @@
 //! Allocation audit of the compiled execution plans: after a warm-up call
 //! sizes the arena, planned integer prediction must perform **zero** heap
-//! allocations per call (on a sequential executor — the thread-pool fan-out
-//! of large kernels allocates its scoped workers by design, which is why
-//! this binary pins the plan to `Executor::sequential()`; results are
-//! bitwise identical either way).
+//! allocations per call (on a sequential executor — the row-shard fork/join
+//! of `predict_probs_batch_into` allocates its scoped workers by design,
+//! which is why this binary pins the plan to `Executor::sequential()`;
+//! results are bitwise identical either way).
 //!
 //! This lives in its own integration-test binary because the counting
 //! allocator is process-global.

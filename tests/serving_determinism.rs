@@ -56,58 +56,100 @@ fn batch_and_singles(batch: usize) -> (Tensor, Vec<Tensor>) {
     (inputs, singles)
 }
 
+/// A small residual/batch-norm ResNet-18 (8x8, width/16, 10 classes), so
+/// residual merges and folded batch-norm affines run in the batched sweep.
+fn small_resnet() -> MultiExitNetwork {
+    zoo::resnet18(
+        &ModelConfig::cifar10()
+            .with_resolution(8, 8)
+            .with_width_divisor(16),
+    )
+    .with_exits_after_every_block()
+    .unwrap()
+    .with_exit_mcd(0.3)
+    .unwrap()
+    .build(11)
+    .unwrap()
+}
+
 /// Acceptance-criteria sweep: batched integer prediction is bit-exact with
-/// per-sample calls for every searched format, on both the sequential and a
-/// multi-threaded executor.
+/// per-sample calls for every searched format (LeNet-5) and for both integer
+/// widths (a residual/batch-norm ResNet-18), on the sequential executor and
+/// on 2, 3 and 4 row shards, at batch sizes that split unevenly across the
+/// shards or leave some threads without a row.
 #[test]
 fn quant_batched_predict_matches_singles_across_formats_and_executors() {
-    let network = small_lenet();
-    let mut rng = Xoshiro256StarStar::seed_from_u64(5);
-    let calib = Tensor::randn(&[8, 1, 10, 10], &mut rng);
-    let calibrated = CalibratedNetwork::calibrate(&network, &calib).unwrap();
-    let (inputs, singles) = batch_and_singles(5);
+    const MAX_BATCH: usize = 7;
+    let fmt = |total, int| FixedPointFormat::new(total, int).unwrap();
+    let models = [
+        (
+            "lenet5",
+            small_lenet(),
+            vec![1, 10, 10],
+            FixedPointFormat::search_space(),
+        ),
+        (
+            "resnet18",
+            small_resnet(),
+            vec![3, 8, 8],
+            vec![fmt(8, 3), fmt(16, 6)],
+        ),
+    ];
+    for (model, network, in_dims, formats) in models {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(5);
+        let calib = Tensor::randn(&[&[8][..], &in_dims].concat(), &mut rng);
+        let calibrated = CalibratedNetwork::calibrate(&network, &calib).unwrap();
+        let pool = Tensor::randn(&[&[MAX_BATCH][..], &in_dims].concat(), &mut rng);
+        let per: usize = in_dims.iter().product();
+        let rows = |n: usize| {
+            Tensor::from_vec(
+                pool.as_slice()[..n * per].to_vec(),
+                &[&[n][..], &in_dims].concat(),
+            )
+            .unwrap()
+        };
 
-    for format in FixedPointFormat::search_space() {
-        let mut reference: Option<Vec<f32>> = None;
-        for (name, exec) in [
-            ("sequential", Executor::sequential()),
-            ("threads(4)", Executor::new(4)),
-        ] {
+        for format in formats {
+            // Single-sample references on the sequential executor.
             let mut plan = calibrated.plan(format).unwrap();
-            plan.set_executor(exec);
-            let batched = plan
-                .predict_probs_batch(&inputs, MC_SAMPLES, MC_SEED)
+            plan.set_executor(Executor::sequential());
+            let mut singles = Vec::new();
+            for i in 0..MAX_BATCH {
+                let single = Tensor::from_vec(
+                    pool.as_slice()[i * per..(i + 1) * per].to_vec(),
+                    &[&[1][..], &in_dims].concat(),
+                )
                 .unwrap();
-            let mut concat = Vec::new();
-            for single in &singles {
                 let one = plan
-                    .predict_probs_batch(single, MC_SAMPLES, MC_SEED)
+                    .predict_probs_batch(&single, MC_SAMPLES, MC_SEED)
                     .unwrap();
-                concat.extend_from_slice(one.as_slice());
+                // Single-sample batched calls agree with the per-batch-mask
+                // entry point (masks coincide at batch 1).
+                let plain = plan.predict_probs(&single, MC_SAMPLES, MC_SEED).unwrap();
+                assert_eq!(one.as_slice(), plain.as_slice(), "{model} {format} row {i}");
+                singles.extend_from_slice(one.as_slice());
             }
-            assert_eq!(
-                batched.as_slice(),
-                &concat[..],
-                "{format} on {name}: batched != concat of single-sample calls"
-            );
-            // Single-sample batched calls agree with the per-batch-mask
-            // entry point (masks coincide at batch 1).
-            let plain = plan
-                .predict_probs(&singles[0], MC_SAMPLES, MC_SEED)
-                .unwrap();
-            assert_eq!(
-                plain.as_slice(),
-                &concat[..plain.len()],
-                "{format} on {name}"
-            );
-            // And the whole thing is executor-invariant.
-            match &reference {
-                None => reference = Some(batched.as_slice().to_vec()),
-                Some(r) => assert_eq!(
-                    &r[..],
-                    batched.as_slice(),
-                    "{format}: results differ across executors"
-                ),
+            let classes = singles.len() / MAX_BATCH;
+
+            for (name, exec) in [
+                ("sequential", Executor::sequential()),
+                ("threads(2)", Executor::new(2)),
+                ("threads(3)", Executor::new(3)),
+                ("threads(4)", Executor::new(4)),
+            ] {
+                let mut plan = calibrated.plan(format).unwrap();
+                plan.set_executor(exec);
+                for batch in [1usize, 2, 5, MAX_BATCH] {
+                    let batched = plan
+                        .predict_probs_batch(&rows(batch), MC_SAMPLES, MC_SEED)
+                        .unwrap();
+                    assert_eq!(
+                        batched.as_slice(),
+                        &singles[..batch * classes],
+                        "{model} {format} on {name}, batch {batch}: \
+                         batched != concat of single-sample calls"
+                    );
+                }
             }
         }
     }
