@@ -8,7 +8,10 @@ use bnn_nn::layer::Mode;
 use bnn_nn::layers::conv2d::Conv2d;
 use bnn_nn::Layer;
 use bnn_quant::{CalibratedNetwork, FixedPointFormat};
-use bnn_tensor::int::{im2row_i16_into, matmul_i16, matmul_i8, requantize_i32_row_into};
+use bnn_tensor::exec::Executor;
+use bnn_tensor::int::{
+    im2row_i16_into, matmul_abt_i64_into, matmul_wide_i32_into, requantize_i32_row_into,
+};
 use bnn_tensor::linalg::{im2col, matmul, ConvGeometry};
 use bnn_tensor::rng::{Rng, Xoshiro256StarStar};
 use bnn_tensor::Tensor;
@@ -28,22 +31,27 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| matmul(&ma, &mb).unwrap())
     });
 
-    // The integer kernels of the fixed-point inference path on the same
-    // shape: i8 storage with i32 accumulation and i16 with i64. The int8
-    // kernel is the hot path of Phase 3's integer scoring.
-    let qa: Vec<i8> = (0..256 * 256)
-        .map(|_| (rng.next_u64() % 255) as i8)
+    // The integer matmuls the compiled plans run, on the same shape with
+    // pre-packed operands (`b` transposed, codes widened to i16 — the layout
+    // plans pack once at compile time) and the plans' inline executor:
+    // 8-bit-format codes with i32 accumulation, and 16-bit-format codes with
+    // i64. Phase 3 scores every format on these kernels.
+    let seq = Executor::sequential();
+    let qa: Vec<i16> = (0..256 * 256)
+        .map(|_| (rng.next_u64() % 255) as i8 as i16)
         .collect();
-    let qb: Vec<i8> = (0..256 * 256)
-        .map(|_| (rng.next_u64() % 255) as i8)
+    let qbt: Vec<i16> = (0..256 * 256)
+        .map(|_| (rng.next_u64() % 255) as i8 as i16)
         .collect();
+    let mut acc32 = vec![0i32; 256 * 256];
     group.bench_function("matmul_i8_256x256x256", |b| {
-        b.iter(|| matmul_i8(&qa, &qb, 256, 256, 256).unwrap())
+        b.iter(|| matmul_wide_i32_into(&seq, &qa, &qbt, 256, 256, 256, &mut acc32).unwrap())
     });
-    let wa: Vec<i16> = qa.iter().map(|&v| v as i16 * 97).collect();
-    let wb: Vec<i16> = qb.iter().map(|&v| v as i16 * 97).collect();
+    let wa: Vec<i16> = qa.iter().map(|&v| v * 97).collect();
+    let wbt: Vec<i16> = qbt.iter().map(|&v| v * 97).collect();
+    let mut acc64 = vec![0i64; 256 * 256];
     group.bench_function("matmul_i16_256x256x256", |b| {
-        b.iter(|| matmul_i16(&wa, &wb, 256, 256, 256).unwrap())
+        b.iter(|| matmul_abt_i64_into(&seq, &wa, &wbt, 256, 256, 256, &mut acc64).unwrap())
     });
 
     // The requantize epilogue over one output row (shift + saturate into i16
@@ -105,18 +113,14 @@ fn bench_kernels(c: &mut Criterion) {
     });
 
     // Integer MC prediction on the 8-bit quick-demo LeNet — the Phase 3 hot
-    // loop. The compiled plan (packed weights, arena-allocated
-    // intermediates) against the unplanned op walk, same bits either way.
+    // loop on the compiled plan (packed weights, arena-allocated
+    // intermediates).
     let calib = Tensor::randn(&[8, 1, 12, 12], &mut rng);
     let calibrated = CalibratedNetwork::calibrate(&network, &calib).unwrap();
     let fmt8 = FixedPointFormat::new(8, 3).unwrap();
     let mut plan = calibrated.plan(fmt8).unwrap();
-    let mut unplanned = calibrated.quantize(fmt8).unwrap();
     group.bench_function("quantized_predict_lenet5_8bit", |b| {
         b.iter(|| plan.predict_probs(&images, 8, 2023).unwrap())
-    });
-    group.bench_function("quantized_predict_lenet5_8bit_unplanned", |b| {
-        b.iter(|| unplanned.predict_probs(&images, 8, 2023).unwrap())
     });
     // Compile costs: the one-off calibration forward and per-format plan
     // derivation Phase 3 amortises across its (format, reuse) grid.

@@ -7,20 +7,22 @@
 //! 3's per-format loop paid that cost for each of the {4, 6, 8, 16}-bit
 //! design points. [`CalibratedNetwork::calibrate`] now walks the lowered
 //! graph once, recording per-tensor [`ValueRange`]s (weights and activation
-//! edges) plus the per-sample shape of every op output; deriving a quantized
-//! network ([`CalibratedNetwork::quantize`]) or a compiled execution plan
-//! ([`CalibratedNetwork::plan`]) for a format is then pure bookkeeping — no
-//! float inference, no model replica.
+//! edges) plus the per-sample shape of every op output; compiling an
+//! execution plan ([`CalibratedNetwork::plan`]) or building the fake-quant
+//! float reference ([`CalibratedNetwork::fake_quant`]) for a format is then
+//! pure bookkeeping — no float inference, no model replica.
 //!
 //! Ranges are observed on the **unquantized** float graph (raw weights, raw
 //! activations). The per-format integer/fractional splits derived from one
 //! shared record are therefore identical across formats by construction,
-//! which is also what makes a planned and an unplanned lowering of the same
-//! record bit-exact against each other.
+//! and both builders derive their per-format constants (weight and bias
+//! codes, batch-norm and dropout multipliers) through the same helpers at the
+//! end of this module, which is what lets the float reference track the plan
+//! bit for bit wherever `f32` is exact.
 
 use crate::error::QuantError;
-use crate::net::QuantizedMultiExitNetwork;
 use crate::params::QuantParams;
+use crate::schedule::MUL_FRAC;
 use bnn_models::MultiExitNetwork;
 use bnn_nn::lowering::LayerLowering;
 use bnn_nn::Network;
@@ -267,7 +269,7 @@ fn collect_into(
 }
 
 /// Float-reference convolution on a lowered weight matrix (shared by
-/// calibration, the fake-quant float simulation and the float plans).
+/// calibration and the fake-quant float reference).
 pub(crate) fn conv_float(
     x: &Tensor,
     w2d: &Tensor,
@@ -282,10 +284,18 @@ pub(crate) fn conv_float(
     let out2d = matmul(w2d, &cols)?;
     let out_c = w2d.dims()[0];
     let plane = geom.out_h() * geom.out_w();
-    let data =
-        crate::net::reorder_to_nchw(out2d.as_slice(), out_c, batch, plane, 0.0f32, |co, v| {
-            v + bias[co]
-        });
+    let mut data = vec![0.0f32; batch * out_c * plane];
+    if plane > 0 && batch > 0 {
+        // `[out_c, batch*plane]` matmul rows -> `[batch, out_c, plane]`.
+        for (co, src_chan) in out2d.as_slice().chunks_exact(batch * plane).enumerate() {
+            for (b, src_row) in src_chan.chunks_exact(plane).enumerate() {
+                let start = (b * out_c + co) * plane;
+                for (dst, &v) in data[start..start + plane].iter_mut().zip(src_row) {
+                    *dst = v + bias[co];
+                }
+            }
+        }
+    }
     Ok(Tensor::from_vec(
         data,
         &[batch, out_c, geom.out_h(), geom.out_w()],
@@ -387,7 +397,7 @@ pub(crate) fn global_avg_pool_plain(x: &Tensor) -> Result<Tensor, QuantError> {
 }
 
 /// Float reference of global average pooling, snapped onto the grid (the
-/// fake-quant simulation).
+/// fake-quant reference).
 pub(crate) fn global_avg_pool_float(x: &Tensor, params: QuantParams) -> Result<Tensor, QuantError> {
     Ok(global_avg_pool_plain(x)?.map(|v| params.fake_quantize(v)))
 }
@@ -421,10 +431,10 @@ pub(crate) fn affine_float(
 
 /// A trained multi-exit network calibrated **once**: the lowered inference
 /// graphs of every backbone block and exit branch, paired with their range
-/// records. Per-format artifacts — [`QuantizedMultiExitNetwork`]s and
-/// compiled [`crate::QuantPlan`]s — derive from this without re-running any
-/// float inference, which is what lets Phase 3 score every `(format, reuse)`
-/// design point against a single calibration pass.
+/// records. Per-format artifacts — compiled [`crate::QuantPlan`]s and the
+/// [`crate::FakeQuantNetwork`] float reference — derive from this without
+/// re-running any float inference, which is what lets Phase 3 score every
+/// `(format, reuse)` design point against a single calibration pass.
 ///
 /// # Example
 ///
@@ -446,8 +456,8 @@ pub(crate) fn affine_float(
 /// let calibrated = CalibratedNetwork::calibrate(&trained, &calib)?;
 /// // ...then every searched format derives without further float inference.
 /// for (total, int) in [(4, 2), (6, 2), (8, 3), (16, 6)] {
-///     let qnet = calibrated.quantize(FixedPointFormat::new(total, int)?)?;
-///     assert_eq!(qnet.num_exits(), 2);
+///     let plan = calibrated.plan(FixedPointFormat::new(total, int)?)?;
+///     assert_eq!(plan.num_exits(), 2);
 /// }
 /// # Ok(())
 /// # }
@@ -506,18 +516,131 @@ impl CalibratedNetwork {
     pub fn num_classes(&self) -> usize {
         self.classes
     }
+}
 
-    /// Derives the unplanned integer network for one format — pure
-    /// bookkeeping over the stored records, no float inference.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::Unsupported`] for formats wider than 16 bits,
-    /// or [`QuantError::Internal`] on lowering/record skew.
-    pub fn quantize(
-        &self,
-        format: crate::fixed::FixedPointFormat,
-    ) -> Result<QuantizedMultiExitNetwork, QuantError> {
-        QuantizedMultiExitNetwork::from_calibrated(self, format)
+/// The quantized constants of one conv/dense layer at one format: weight
+/// codes on the recorded weight range's grid, bias codes at the accumulator
+/// scale and the accumulator-to-output requantization shift.
+pub(crate) struct QuantizedWeights {
+    /// Weight codes in the lowering's element order.
+    pub(crate) codes: Vec<i16>,
+    pub(crate) w_params: QuantParams,
+    /// Bias codes at scale `2^-(w_frac + in_frac)` (the accumulator scale).
+    pub(crate) bias: Vec<i64>,
+    acc_frac: u32,
+    /// Accumulator-to-output requantization shift.
+    pub(crate) shift: i32,
+}
+
+impl QuantizedWeights {
+    /// The dequantized weights, shaped `dims`.
+    pub(crate) fn weight_values(&self, dims: &[usize]) -> Result<Tensor, QuantError> {
+        let values = self
+            .codes
+            .iter()
+            .map(|&c| self.w_params.dequantize_value(c as i64))
+            .collect();
+        Ok(Tensor::from_vec(values, dims)?)
     }
+
+    /// The dequantized biases.
+    pub(crate) fn bias_values(&self) -> Vec<f32> {
+        let acc_scale = 2f64.powi(self.acc_frac as i32);
+        self.bias
+            .iter()
+            .map(|&c| (c as f64 / acc_scale) as f32)
+            .collect()
+    }
+}
+
+/// Quantizes a weight tensor and bias for one format (formats are at most
+/// 16 bits wide, so every code fits `i16`).
+pub(crate) fn quantize_weights(
+    weight: &Tensor,
+    bias: &Tensor,
+    w_range: ValueRange,
+    total_bits: u32,
+    in_params: QuantParams,
+    out: QuantParams,
+) -> Result<QuantizedWeights, QuantError> {
+    let w_params = w_range.params(total_bits)?;
+    let codes = weight
+        .as_slice()
+        .iter()
+        .map(|&v| w_params.quantize_value(v) as i16)
+        .collect();
+    let acc_frac = w_params.fractional_bits() + in_params.fractional_bits();
+    let acc_scale = 2f64.powi(acc_frac as i32);
+    let bias = bias
+        .as_slice()
+        .iter()
+        .map(|&b| (b as f64 * acc_scale).round() as i64)
+        .collect();
+    Ok(QuantizedWeights {
+        codes,
+        w_params,
+        bias,
+        acc_frac,
+        shift: acc_frac as i32 - out.fractional_bits() as i32,
+    })
+}
+
+/// The per-channel multipliers and offsets of a folded batch-norm affine at
+/// one format, as [`MUL_FRAC`]-fractional-bit fixed point against the in/out
+/// formats' scales.
+pub(crate) struct QuantizedAffine {
+    /// `round(scale * eps_in / eps_out * 2^MUL_FRAC)`.
+    pub(crate) m: Vec<i64>,
+    /// `round(shift / eps_out * 2^MUL_FRAC)`.
+    pub(crate) b: Vec<i64>,
+}
+
+impl QuantizedAffine {
+    /// The effective multipliers in value space.
+    pub(crate) fn m_values(&self, in_params: QuantParams, out: QuantParams) -> Vec<f32> {
+        let (eps_in, eps_out) = (in_params.scale() as f64, out.scale() as f64);
+        let mul = 2f64.powi(MUL_FRAC as i32);
+        self.m
+            .iter()
+            .map(|&c| (c as f64 / mul * eps_out / eps_in) as f32)
+            .collect()
+    }
+
+    /// The effective offsets in value space.
+    pub(crate) fn b_values(&self, out: QuantParams) -> Vec<f32> {
+        let eps_out = out.scale() as f64;
+        let mul = 2f64.powi(MUL_FRAC as i32);
+        self.b
+            .iter()
+            .map(|&c| (c as f64 / mul * eps_out) as f32)
+            .collect()
+    }
+}
+
+/// Quantizes affine `scale * x + shift` multipliers against the in/out
+/// formats.
+pub(crate) fn quantize_affine(
+    scale: &[f32],
+    shift: &[f32],
+    in_params: QuantParams,
+    out: QuantParams,
+) -> QuantizedAffine {
+    let eps_in = in_params.scale() as f64;
+    let eps_out = out.scale() as f64;
+    let mul = 2f64.powi(MUL_FRAC as i32);
+    QuantizedAffine {
+        m: scale
+            .iter()
+            .map(|&s| (s as f64 * eps_in / eps_out * mul).round() as i64)
+            .collect(),
+        b: shift
+            .iter()
+            .map(|&s| (s as f64 / eps_out * mul).round() as i64)
+            .collect(),
+    }
+}
+
+/// The quantized inverted-dropout scale, `round((1/keep) * 2^MUL_FRAC)`.
+pub(crate) fn dropout_scale_q(rate: f64) -> i64 {
+    (1.0 / (1.0 - rate) * 2f64.powi(MUL_FRAC as i32)).round() as i64
 }

@@ -1,8 +1,8 @@
-//! Compile-once execution plans for the integer inference path.
+//! Compile-once execution plans: the integer inference path.
 //!
-//! [`QuantPlan`] is the allocate-once/run-many counterpart of
-//! [`QuantizedMultiExitNetwork`](crate::QuantizedMultiExitNetwork): the
-//! recursive lowering walk is flattened into a linear step list, buffer
+//! [`QuantPlan`] executes a calibrated multi-exit network the way an
+//! `ap_fixed` FPGA datapath would, allocating once and running many times:
+//! the recursive lowering walk is flattened into a linear step list, buffer
 //! lifetimes are planned at compile time (liveness over the flat list with
 //! free-list reuse, elementwise steps running in place when their input
 //! dies), weights are packed **once** into the transposed/widened `i16`
@@ -15,11 +15,25 @@
 //! a sequential executor (the row-shard fork/join of a multi-threaded one
 //! allocates its scoped workers by design).
 //!
-//! The plan executes exactly the arithmetic of the unplanned path — same
-//! kernels modulo exact-integer reassociation, same requantization, same
-//! seeded mask streams in the same walk order — so planned and unplanned
-//! predictions are **bit-exact** against each other for every format; the
-//! parity suite in `tests/planned_parity.rs` pins this.
+//! # Arithmetic
+//!
+//! Conv and dense steps multiply `i16`-widened codes with exact `i32`
+//! (formats up to 8 bits) or `i64` accumulation; biases are pre-quantized at
+//! the accumulator scale, and results are requantized by an exact rounding
+//! bit-shift (every scale is a power of two; ties round away from zero) and
+//! **saturated** into the output format. ReLU and max pooling are pure
+//! integer ops, average pooling divides with round-half-away-from-zero, and
+//! batch-norm affines and the MC-dropout `1/keep` scale use
+//! [`MUL_FRAC`]-fractional-bit multipliers. MC-dropout masks are drawn in
+//! the integer domain from per-pass `stream_seed` streams.
+//!
+//! Two independent implementations check the plan. `bnn_hls::HlsSimulator`
+//! interprets the plan's exported [`PlanSchedule`] and is bit-exact with it
+//! (`tests/hls_golden_sim.rs`): that checks execution. The fake-quant float
+//! reference ([`CalibratedNetwork::fake_quant`]) is built from the
+//! calibration record by its own walk and tracks the plan bit for bit up to
+//! 8 bits and within one quantization step at 16 bits
+//! (`tests/quantized_inference.rs`): that checks compilation.
 //!
 //! # Threading
 //!
@@ -51,13 +65,13 @@
 //!                            rows k..n ─► arena 1 ┴─► out (disjoint rows)
 //! ```
 
-use crate::calib::{CalibratedNetwork, RecordCursor};
+use crate::calib::{
+    dropout_scale_q, quantize_affine, quantize_weights, CalibratedNetwork, RecordCursor,
+};
 use crate::error::QuantError;
 use crate::fixed::FixedPointFormat;
-use crate::net::{div_round, dropout_scale_q, quantize_affine, quantize_weights, MUL_FRAC};
 use crate::params::{IntWidth, QuantParams};
-use crate::qtensor::QuantData;
-use crate::schedule::{PlanSchedule, ScheduleExit, ScheduleOp, ScheduleStep};
+use crate::schedule::{PlanSchedule, ScheduleExit, ScheduleOp, ScheduleStep, MUL_FRAC};
 use bnn_models::{AdaptivePrediction, AdaptiveStats, ExitPolicy};
 use bnn_nn::layer::Mode;
 use bnn_nn::lowering::LayerLowering;
@@ -72,8 +86,8 @@ use bnn_tensor::ops::softmax_rows_into;
 use bnn_tensor::rng::{stream_seed, Rng, SplitMix64, Xoshiro256StarStar};
 use bnn_tensor::Tensor;
 
-/// A packed convolution: weights widened/flattened to `[out_c, in_c*k*k]`
-/// `i16` once at compile time (the unplanned path re-packs per call).
+/// A packed convolution: weights flattened to `[out_c, in_c*k*k]` `i16` once
+/// at compile time.
 #[derive(Debug, Clone)]
 struct PlanConv {
     w16: Vec<i16>,
@@ -183,17 +197,21 @@ struct PlanExit {
     after_block: usize,
 }
 
-/// How MC-dropout masks index into the batch.
+/// How MC-dropout masks index into the batch. Both modes are needed.
 ///
-/// [`MaskGranularity::PerBatch`] is the unplanned network's semantics: one
-/// stream draw per (batch, channel), so a batch of N consumes N times the
-/// draws and batched output differs from N single-sample calls.
+/// [`MaskGranularity::PerBatch`] draws one mask per (row, channel), so every
+/// row of a batch gets its own independent MC noise. Phase 3 scores a whole
+/// evaluation set in one call and needs exactly that: its MC average per
+/// row must not share noise with the other rows. A batch of N consumes N
+/// times the draws, so batched output differs from N single-sample calls.
 /// [`MaskGranularity::PerSample`] draws one per-sample mask per pass and
-/// broadcasts it across the batch: every kernel in the plan computes each
-/// output element from one sample alone, so per-sample masks make a batched
-/// call bit-exact with the concatenation of single-sample calls — the
-/// batch-boundary invariance dynamic batching needs. For `batch == 1` the
-/// two modes draw and apply identical masks.
+/// broadcasts it to every row. Every kernel in the plan computes each output
+/// element from one sample alone, so a batched call is bit-exact with the
+/// concatenation of single-sample calls — the batch-boundary invariance
+/// dynamic batching needs. The price is that every row of a batch sees the
+/// same masks, which correlates their MC noise; switching phase 3 to it
+/// makes the ResNet-18 quick demo find no quality-preserving design on some
+/// seeds. For `batch == 1` the two modes draw and apply identical masks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MaskGranularity {
     PerBatch,
@@ -224,9 +242,8 @@ struct Arena {
 }
 
 impl Arena {
-    /// Reseeds every mask stream from `master_seed` in flat step order — the
-    /// same stream assignment as the unplanned network's
-    /// `reseed_mc_streams`.
+    /// Reseeds every mask stream from `master_seed` in flat step order
+    /// (backbone, then exits in attachment order).
     fn reseed(&mut self, master_seed: u64) {
         let mut seeds = SplitMix64::new(master_seed);
         for rng in &mut self.streams {
@@ -374,31 +391,20 @@ impl PlanBuilder {
         dst
     }
 
-    /// Packs a weight code tensor into the widened `i16` layout; `transpose`
-    /// selects the `[out, in]` dense layout (`dims = (rows_in, cols_out)`).
-    fn widen_codes(codes: &QuantData, transpose: Option<(usize, usize)>) -> Vec<i16> {
-        match transpose {
-            None => match codes {
-                QuantData::I8(v) => v.iter().map(|&c| c as i16).collect(),
-                QuantData::I16(v) => v.clone(),
-            },
-            Some((rows, cols)) => {
-                let mut out = vec![0i16; rows * cols];
-                for r in 0..rows {
-                    for c in 0..cols {
-                        out[c * rows + r] = match codes {
-                            QuantData::I8(v) => v[r * cols + c] as i16,
-                            QuantData::I16(v) => v[r * cols + c],
-                        };
-                    }
-                }
-                out
+    /// Transposes `[rows, cols]` weight codes into the `[cols, rows]` layout
+    /// the dense kernels consume.
+    fn transpose_codes(codes: &[i16], rows: usize, cols: usize) -> Vec<i16> {
+        let mut out = vec![0i16; rows * cols];
+        for (r, row) in codes.chunks_exact(cols).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                out[c * rows + r] = v;
             }
         }
+        out
     }
 
     /// Emits the step(s) of one lowered op, consuming calibration records in
-    /// the same walk order as the unplanned builder.
+    /// the collector's walk order.
     fn emit(
         &mut self,
         lowering: &LayerLowering,
@@ -428,7 +434,6 @@ impl PlanBuilder {
                     .params(total_bits)?;
                 let w = quantize_weights(
                     weight,
-                    Some(&[out_c, in_c * kernel * kernel]),
                     bias,
                     record.weight.expect("conv records a weight range"),
                     total_bits,
@@ -444,7 +449,8 @@ impl PlanBuilder {
                 self.acc_unit = self.acc_unit.max(out_c * plane);
                 *cur = self.push(
                     StepKind::Conv(Box::new(PlanConv {
-                        w16: Self::widen_codes(&w.codes, None),
+                        w_frac: w.w_params.fractional_bits(),
+                        w16: w.codes,
                         bias: w.bias,
                         out_c,
                         in_c,
@@ -452,7 +458,6 @@ impl PlanBuilder {
                         stride: *stride,
                         padding: *padding,
                         shift: w.shift,
-                        w_frac: w.w_frac,
                         out,
                     })),
                     *cur,
@@ -471,7 +476,6 @@ impl PlanBuilder {
                     .params(total_bits)?;
                 let w = quantize_weights(
                     weight,
-                    None,
                     bias,
                     record.weight.expect("dense records a weight range"),
                     total_bits,
@@ -481,12 +485,12 @@ impl PlanBuilder {
                 self.acc_unit = self.acc_unit.max(out_f);
                 *cur = self.push(
                     StepKind::Dense(Box::new(PlanDense {
-                        wt16: Self::widen_codes(&w.codes, Some((in_f, out_f))),
+                        wt16: Self::transpose_codes(&w.codes, in_f, out_f),
+                        w_frac: w.w_params.fractional_bits(),
                         bias: w.bias,
                         in_f,
                         out_f,
                         shift: w.shift,
-                        w_frac: w.w_frac,
                         out,
                     })),
                     *cur,
@@ -566,7 +570,7 @@ impl PlanBuilder {
                 };
                 self.mask_unit = self.mask_unit.max(unit);
                 // Steps are emitted in flat order, so stream ids follow the
-                // unplanned network's reseed walk.
+                // walk order (residual main paths before shortcuts).
                 self.n_streams += 1;
                 *cur = self.push(
                     StepKind::McDropout {
@@ -1007,8 +1011,7 @@ impl QuantPlan {
     }
 
     /// Reseeds every MC-dropout stream from `master_seed`, walking the flat
-    /// step list (backbone, then exits in attachment order) — the same
-    /// stream assignment as the unplanned network's `reseed_mc_streams`.
+    /// step list (backbone, then exits in attachment order).
     pub fn reseed_mc_streams(&mut self, master_seed: u64) {
         for arena in &mut self.arenas {
             arena.reseed(master_seed);
@@ -1123,9 +1126,9 @@ impl QuantPlan {
     }
 
     /// Runs the backbone deterministically and the exit branches in `mode`,
-    /// returning one dequantized logit tensor per exit — the planned
-    /// counterpart of the unplanned `forward_exits_int` (bit-exact against
-    /// it). Runs inline on the first arena.
+    /// returning one dequantized logit tensor per exit. MC-dropout masks are
+    /// drawn per batch ([`QuantPlan::predict_probs_into`]'s semantics). Runs
+    /// inline on the first arena.
     ///
     /// # Errors
     ///
@@ -1177,9 +1180,14 @@ impl QuantPlan {
     /// `stream_seed(seed, pass)` and re-runs the exits in
     /// [`Mode::McSample`], and the first `n_samples` per-sample softmax
     /// tensors are averaged into `out` (`[batch, classes]`, resized).
-    /// Bit-exact with the unplanned `predict_probs`; zero steady-state heap
-    /// allocation once the arena is warm. Runs inline on the first arena:
-    /// its per-batch masks depend on the whole batch.
+    ///
+    /// Masks are drawn **per batch**: every row gets its own independent
+    /// masks, so the MC noise of one row is uncorrelated with the others' —
+    /// what scoring a whole evaluation set in one call (Phase 3) needs. The
+    /// price is that a row's result depends on its position in the batch;
+    /// [`QuantPlan::predict_probs_batch_into`] makes the opposite trade.
+    /// Zero steady-state heap allocation once the arena is warm. Runs inline
+    /// on the first arena: per-batch masks depend on the whole batch.
     ///
     /// # Errors
     ///
@@ -1203,7 +1211,8 @@ impl QuantPlan {
     /// grouped into batches. This is the serving entry point: a dynamic
     /// batcher may split the same requests `[a, b, c]` as `[a] + [b, c]` or
     /// `[a, b, c]` and every response stays identical. For `batch == 1` it
-    /// is bit-exact with [`QuantPlan::predict_probs_into`] itself.
+    /// is bit-exact with [`QuantPlan::predict_probs_into`] itself; for larger
+    /// batches every row sees the same masks, so rows share their MC noise.
     ///
     /// The batch runs as `min(threads, batch)` row shards in one fork/join
     /// (see [`QuantPlan::set_executor`] and the
@@ -1312,9 +1321,9 @@ impl QuantPlan {
             arena.reseed(stream_seed(seed, pass as u64));
             for exit in &self.exits {
                 if sample >= kept {
-                    // Every remaining sample would be truncated anyway (the
-                    // unplanned path computes and discards them; skipping is
-                    // result-identical because exit streams are independent).
+                    // Every remaining sample would be truncated anyway;
+                    // skipping them is result-identical because exit streams
+                    // are independent.
                     break 'passes;
                 }
                 Self::run_steps(&exit.steps, arena, self.width, rows, Mode::McSample, masks)?;
@@ -1345,8 +1354,7 @@ impl QuantPlan {
         Ok(())
     }
 
-    /// [`QuantPlan::predict_probs_into`] returning a fresh tensor (the
-    /// drop-in replacement for the unplanned `predict_probs`).
+    /// [`QuantPlan::predict_probs_into`] returning a fresh tensor.
     ///
     /// # Errors
     ///
@@ -1639,6 +1647,16 @@ impl QuantPlan {
     }
 }
 
+/// Rounded division with ties away from zero (`d > 0`): the average-pooling
+/// divisor.
+fn div_round(n: i64, d: i64) -> i64 {
+    if n >= 0 {
+        (2 * n + d) / (2 * d)
+    } else {
+        -((-2 * n + d) / (2 * d))
+    }
+}
+
 impl CalibratedNetwork {
     /// Compiles the arena-allocated execution plan for one format — pure
     /// bookkeeping over the stored records plus one-time weight packing; no
@@ -1917,7 +1935,7 @@ fn run_step(
             let sampling = mode.samples_mc_dropout() && *rate > 0.0;
             if !sampling {
                 // Stream positions stay aligned: a non-sampling pass draws
-                // nothing, exactly like the unplanned op.
+                // nothing.
                 if step.src != step.dst {
                     let mut dst = std::mem::take(&mut arena.slots[step.dst]);
                     dst[..in_elems].copy_from_slice(&arena.slots[step.src][..in_elems]);
@@ -1927,7 +1945,7 @@ fn run_step(
             }
             let keep = 1.0 - *rate;
             // Filter-wise for NCHW (per-sample dims of rank 3), element-wise
-            // otherwise — the same draw order as `draw_keep_mask`. Per-sample
+            // otherwise — the float `McDropout` layer's draw order. Per-sample
             // granularity draws one sample's worth of masks and tiles them
             // across the batch (`% draws`); for batch 1 the draw count and
             // the applied mask are identical in both modes.
@@ -2004,7 +2022,6 @@ fn run_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::QuantizedMultiExitNetwork;
     use bnn_models::{zoo, ModelConfig};
     use bnn_nn::layer::Mode;
 
@@ -2033,50 +2050,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_forward_is_bit_exact_with_unplanned_across_formats() {
-        let net = lenet(3);
-        let calib = calib_batch(&[6, 1, 10, 10], 4);
-        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
-        let x = calib_batch(&[3, 1, 10, 10], 5);
-        for format in FixedPointFormat::search_space() {
-            let mut unplanned = calibrated.quantize(format).unwrap();
-            let mut plan = calibrated.plan(format).unwrap();
-            let a = unplanned.forward_exits_int(&x, Mode::Eval).unwrap();
-            let b = plan.forward_exits_int(&x, Mode::Eval).unwrap();
-            assert_eq!(a.len(), b.len());
-            for (ta, tb) in a.iter().zip(&b) {
-                assert_eq!(ta.as_slice(), tb.as_slice(), "{format} Eval");
-            }
-            // MC mode with a shared reseed draws identical masks.
-            unplanned.reseed_mc_streams(17);
-            plan.reseed_mc_streams(17);
-            let a = unplanned.forward_exits_int(&x, Mode::McSample).unwrap();
-            let b = plan.forward_exits_int(&x, Mode::McSample).unwrap();
-            for (ta, tb) in a.iter().zip(&b) {
-                assert_eq!(ta.as_slice(), tb.as_slice(), "{format} McSample");
-            }
-        }
-    }
-
-    #[test]
-    fn planned_predict_probs_is_bit_exact_with_unplanned() {
-        let net = lenet(7);
-        let calib = calib_batch(&[6, 1, 10, 10], 8);
-        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
-        let x = calib_batch(&[2, 1, 10, 10], 9);
-        for format in [fmt(4, 2), fmt(8, 3), fmt(16, 6)] {
-            let mut unplanned =
-                QuantizedMultiExitNetwork::from_calibrated(&calibrated, format).unwrap();
-            let mut plan = calibrated.plan(format).unwrap();
-            for n_samples in [0usize, 1, 3, 4, 7] {
-                let a = unplanned.predict_probs(&x, n_samples, 2023).unwrap();
-                let b = plan.predict_probs(&x, n_samples, 2023).unwrap();
-                assert_eq!(a.as_slice(), b.as_slice(), "{format} n_samples={n_samples}");
-            }
-        }
-    }
-
-    #[test]
     fn plan_reuses_slots_via_liveness() {
         let net = lenet(1);
         let calib = calib_batch(&[4, 1, 10, 10], 2);
@@ -2093,39 +2066,6 @@ mod tests {
         assert_eq!(plan.num_exits(), 2);
         assert_eq!(plan.num_classes(), 4);
         assert_eq!(plan.format(), fmt(8, 3));
-    }
-
-    #[test]
-    fn residual_batchnorm_network_plan_is_bit_exact_with_unplanned() {
-        // A reduced ResNet-18 exercises every plan step kind at once:
-        // residual merges (flattened with a pinned skip slot), folded
-        // batch-norm affines, global average pooling and MC-dropout exits.
-        let net = zoo::resnet18(
-            &ModelConfig::cifar10()
-                .with_resolution(12, 12)
-                .with_width_divisor(16),
-        )
-        .with_exits_after_every_block()
-        .unwrap()
-        .with_exit_mcd(0.3)
-        .unwrap()
-        .build(11)
-        .unwrap();
-        let calib = calib_batch(&[4, 3, 12, 12], 7);
-        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
-        let x = calib_batch(&[2, 3, 12, 12], 8);
-        for format in [fmt(8, 3), fmt(16, 6)] {
-            let mut unplanned = calibrated.quantize(format).unwrap();
-            let mut plan = calibrated.plan(format).unwrap();
-            let a = unplanned.forward_exits_int(&x, Mode::Eval).unwrap();
-            let b = plan.forward_exits_int(&x, Mode::Eval).unwrap();
-            for (ta, tb) in a.iter().zip(&b) {
-                assert_eq!(ta.as_slice(), tb.as_slice(), "{format}");
-            }
-            let a = unplanned.predict_probs(&x, 4, 99).unwrap();
-            let b = plan.predict_probs(&x, 4, 99).unwrap();
-            assert_eq!(a.as_slice(), b.as_slice(), "{format} predict");
-        }
     }
 
     #[test]
@@ -2331,5 +2271,106 @@ mod tests {
             let s: f32 = row.iter().sum();
             assert!((s - 1.0).abs() < 1e-4);
         }
+    }
+
+    #[test]
+    fn per_batch_masks_are_independent_per_row_and_per_sample_masks_are_shared() {
+        // Two identical rows in one batch: per-batch masks give each row its
+        // own MC noise, per-sample masks broadcast one mask to both.
+        let net = lenet(71);
+        let calib = calib_batch(&[4, 1, 10, 10], 72);
+        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
+        let row = calib_batch(&[1, 1, 10, 10], 73);
+        let twice = Tensor::from_vec(row.as_slice().repeat(2), &[2, 1, 10, 10]).unwrap();
+        for format in [fmt(4, 2), fmt(8, 3), fmt(16, 6)] {
+            let mut plan = calibrated.plan(format).unwrap();
+            let mut out = Vec::new();
+            plan.predict_probs_into(&twice, 6, 2023, &mut out).unwrap();
+            assert_ne!(out[..4], out[4..], "{format} per-batch rows must differ");
+            plan.predict_probs_batch_into(&twice, 6, 2023, &mut out)
+                .unwrap();
+            assert_eq!(out[..4], out[4..], "{format} per-sample rows must match");
+        }
+    }
+
+    #[test]
+    fn four_bit_plan_outputs_lie_on_the_exit_grid() {
+        let net = lenet(5);
+        let calib = calib_batch(&[6, 1, 10, 10], 5);
+        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
+        let mut plan = calibrated.plan(fmt(4, 2)).unwrap();
+        let x = calib_batch(&[3, 1, 10, 10], 6);
+        let logits = plan.forward_exits_int(&x, Mode::Eval).unwrap();
+        for (exit, params) in logits.iter().zip(plan.exit_out_params()) {
+            let eps = params.scale();
+            for &v in exit.as_slice() {
+                let steps = v / eps;
+                assert!((steps - steps.round()).abs() < 1e-4, "{v} is off the grid");
+            }
+        }
+    }
+
+    #[test]
+    fn residual_batchnorm_plan_tracks_the_float_reference() {
+        // Residual merges and folded batch-norm affines: the affine
+        // multipliers make float exactness format-dependent, so one step of
+        // each exit's output grid bounds the drift. At 16 bits the drift of
+        // the full-depth network exceeds one step; the 16-bit bound is pinned
+        // on LeNet-5 in `tests/quantized_inference.rs`.
+        let net = zoo::resnet18(
+            &ModelConfig::cifar10()
+                .with_resolution(12, 12)
+                .with_width_divisor(16),
+        )
+        .with_exits_after_every_block()
+        .unwrap()
+        .with_exit_mcd(0.3)
+        .unwrap()
+        .build(7)
+        .unwrap();
+        let calib = calib_batch(&[4, 3, 12, 12], 7);
+        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
+        let x = calib_batch(&[2, 3, 12, 12], 8);
+        for format in [fmt(4, 2), fmt(6, 2), fmt(8, 3)] {
+            let mut plan = calibrated.plan(format).unwrap();
+            let mut reference = calibrated.fake_quant(format).unwrap();
+            let int = plan.forward_exits_int(&x, Mode::Eval).unwrap();
+            let float = reference.forward_exits(&x, Mode::Eval).unwrap();
+            for ((a, b), params) in int.iter().zip(&float).zip(plan.exit_out_params()) {
+                let eps = params.scale();
+                for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+                    assert!(
+                        (x - y).abs() <= eps + 1e-6,
+                        "{format}: {x} vs {y} (eps {eps})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn formats_wider_than_sixteen_bits_are_rejected() {
+        let net = lenet(9);
+        let calib = calib_batch(&[2, 1, 10, 10], 14);
+        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
+        assert!(matches!(
+            calibrated.plan(fmt(24, 8)),
+            Err(QuantError::Unsupported(_))
+        ));
+        assert!(matches!(
+            calibrated.fake_quant(fmt(24, 8)),
+            Err(QuantError::Unsupported(_))
+        ));
+    }
+
+    #[test]
+    fn avg_pool_division_rounds_half_away_from_zero() {
+        assert_eq!(div_round(5, 2), 3);
+        assert_eq!(div_round(-5, 2), -3);
+        assert_eq!(div_round(7, 4), 2);
+        assert_eq!(div_round(-7, 4), -2);
+        assert_eq!(div_round(6, 4), 2); // 1.5 away from zero
+        assert_eq!(div_round(-6, 4), -2);
+        assert_eq!(div_round(0, 9), 0);
     }
 }

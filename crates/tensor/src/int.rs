@@ -2,9 +2,9 @@
 //!
 //! The float kernels in [`crate::linalg`] evaluate *fake-quantized* models:
 //! values snapped to a fixed-point grid but carried as `f32`. The kernels
-//! here are the genuine article — `i8`/`i16` operands, `i32`/`i64`
-//! accumulators — and model what an FPGA datapath with `ap_fixed` arithmetic
-//! actually computes. They operate on raw slices (no `Tensor` wrapper):
+//! here are the genuine article — integer codes (stored widened to `i16`),
+//! `i32`/`i64` accumulators — and model what an FPGA datapath with
+//! `ap_fixed` arithmetic actually computes. They operate on raw slices (no `Tensor` wrapper):
 //! scale/zero-point bookkeeping lives one layer up, in `bnn-quant`.
 //!
 //! # Arithmetic contract
@@ -20,8 +20,9 @@
 //!   [`round_shift`] and [`saturate`]).
 //! * **Rounding.** [`round_shift`] rounds to nearest with ties away from
 //!   zero — the same convention as `f32::round`, which the fake-quantization
-//!   grid in `bnn-quant` uses. This keeps the integer path and the float
-//!   simulation bit-compatible wherever `f32` arithmetic is exact.
+//!   grid in `bnn-quant` uses. This keeps the integer path and its
+//!   fake-quant float reference bit-compatible wherever `f32` arithmetic is
+//!   exact.
 //! * **Determinism.** Integer addition is associative, so any execution
 //!   order gives the same bits; the kernels still split work into disjoint
 //!   output row blocks on a [`parpool::Executor`] exactly like the float
@@ -38,18 +39,6 @@ use crate::linalg::{fill_row_blocks, ConvGeometry};
 use crate::simd::Backend;
 use crate::TensorError;
 use parpool::Executor;
-
-/// Minimum number of multiply-accumulates before an integer matrix product
-/// fans out over the global executor (mirrors the float kernels' threshold).
-const PAR_MACS_THRESHOLD: usize = 1 << 20;
-
-fn auto_executor(work: usize) -> Executor {
-    if work >= PAR_MACS_THRESHOLD {
-        Executor::global()
-    } else {
-        Executor::sequential()
-    }
-}
 
 /// Rounds `value / 2^shift` to the nearest integer, ties away from zero.
 ///
@@ -265,119 +254,36 @@ pub fn requantize_i64_row_biased_into(
     }
 }
 
-fn check_matmul(
-    a_len: usize,
-    b_len: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    op: &'static str,
-) -> Result<(), TensorError> {
-    if a_len != m * k || b_len != k * n {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![a_len, m, k],
-            rhs: vec![b_len, k, n],
-            op,
-        });
-    }
-    Ok(())
-}
-
-/// Multiplies two `i8` matrices, `[m, k] x [k, n]`, into an exact `i32`
-/// accumulator matrix `[m, n]`.
+/// Multiplies `a16` (`[m, k]` row-major) by the transpose of `bt16`
+/// (`[n, k]` row-major) into the exact `i32` accumulator slice `out`
+/// (`[m, n]`, fully overwritten) — the 8-bit-format matmul of the compiled
+/// execution plans.
 ///
-/// The reduction over `k` must stay below `2^17` terms so the accumulator
-/// cannot overflow (see the [module documentation](self)); this is checked.
-/// Large products are parallelized over output row blocks with bitwise
-/// identical results for every thread count.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the slice lengths do not match
-/// `m * k` / `k * n`, or if `k` exceeds the exact-accumulation bound.
+/// Operands must hold **i8-range** values widened to `i16`: the plans pack
+/// weights into this layout once at compile time and store activations
+/// widened. The transposed layout makes every dot product run over two
+/// contiguous slices, and the scalar core register-blocks eight output rows
+/// per `bt16`-row stream: the widening `i16 * i16 -> i32` reduction is the
+/// integer inner loop LLVM vectorizes well at baseline codegen (`pmaddwd`).
+/// Integer accumulation is exact, so any reduction order gives the same
+/// bits. No heap allocation happens here; output row blocks are split
+/// across `exec` with identical results for every thread count.
 ///
 /// # Example
 ///
 /// ```
-/// use bnn_tensor::int::matmul_i8;
+/// use bnn_tensor::exec::Executor;
+/// use bnn_tensor::int::matmul_wide_i32_into;
 ///
 /// # fn main() -> Result<(), bnn_tensor::TensorError> {
-/// let a: Vec<i8> = vec![1, 2, 3, 4]; // [2, 2]
-/// let b: Vec<i8> = vec![5, 6, 7, 8]; // [2, 2]
-/// assert_eq!(matmul_i8(&a, &b, 2, 2, 2)?, vec![19, 22, 43, 50]);
+/// let a = [1i16, 2, 3, 4]; // [2, 2]
+/// let bt = [5i16, 7, 6, 8]; // the transpose of [[5, 6], [7, 8]]
+/// let mut out = [0i32; 4];
+/// matmul_wide_i32_into(&Executor::sequential(), &a, &bt, 2, 2, 2, &mut out)?;
+/// assert_eq!(out, [19, 22, 43, 50]);
 /// # Ok(())
 /// # }
 /// ```
-pub fn matmul_i8(
-    a: &[i8],
-    b: &[i8],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Result<Vec<i32>, TensorError> {
-    matmul_i8_with(&auto_executor(m * k * n), a, b, m, k, n)
-}
-
-/// [`matmul_i8`] on an explicit executor.
-///
-/// The kernel widens both operands to `i16` (with `b` transposed so every
-/// dot product runs over two contiguous slices) and register-blocks eight
-/// output rows per `b`-row stream: the widening `i16 * i16 -> i32`
-/// reduction is the integer inner loop LLVM vectorizes well at baseline
-/// codegen (`pmaddwd`), and the 8-way reuse of each `b` load is what lets
-/// the 8-bit path overtake the float kernel on the same shape. Integer
-/// accumulation is exact, so the reduction order is free to differ from
-/// the float kernels without breaking bitwise determinism.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] on length mismatches or a `k`
-/// beyond the exact-accumulation bound.
-pub fn matmul_i8_with(
-    exec: &Executor,
-    a: &[i8],
-    b: &[i8],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Result<Vec<i32>, TensorError> {
-    check_matmul(a.len(), b.len(), m, k, n, "matmul_i8")?;
-    // Fast-fail the exact-accumulation bound before paying for widening and
-    // packing (the packed kernel re-checks it as its own contract).
-    if k >= (1 << 17) {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![m, k],
-            rhs: vec![k, n],
-            op: "matmul_i8: k exceeds exact i32 accumulation bound (< 2^17)",
-        });
-    }
-    // Widen once up front: `a` row-major, `b` transposed to [n, k] so every
-    // dot product runs over two contiguous i16 slices.
-    let mut a16 = vec![0i16; m * k];
-    for (dst, &src) in a16.iter_mut().zip(a) {
-        *dst = src as i16;
-    }
-    let mut bt16 = vec![0i16; n * k];
-    for (p, b_row) in b.chunks_exact(n).enumerate() {
-        for (j, &v) in b_row.iter().enumerate() {
-            bt16[j * k + p] = v as i16;
-        }
-    }
-    let mut out = vec![0i32; m * n];
-    matmul_wide_i32_into(exec, &a16, &bt16, m, k, n, &mut out)?;
-    Ok(out)
-}
-
-/// The pre-packed core of [`matmul_i8`]: multiplies `a16` (`[m, k]`
-/// row-major) by the transpose of `bt16` (`[n, k]` row-major) into the exact
-/// `i32` accumulator slice `out` (`[m, n]`, fully overwritten).
-///
-/// Operands must hold **i8-range** values widened to `i16` — this is the
-/// arena-aware entry point of the compiled execution plans, which pack
-/// weights into this layout once at plan compilation and store activations
-/// widened. The loops are exactly the register-blocked kernel of
-/// [`matmul_i8`], so results are bitwise identical to the packing entry
-/// point, and no heap allocation happens here (single-threaded).
 ///
 /// # Errors
 ///
@@ -536,8 +442,9 @@ fn scalar_wide_i32_block(a16: &[i16], bt16: &[i16], k: usize, n: usize, chunk: &
 /// [`matmul_wide_i32_into`], used by the compiled execution plans.
 ///
 /// Every output element is an ascending-index dot product of two contiguous
-/// rows; integer accumulation is exact, so results match [`matmul_i16`] on
-/// the same operands bit for bit regardless of the differing loop order.
+/// rows. Products are at most `2^30`, so the `i64` accumulator is exact for
+/// any reduction length that fits in memory, and results are bitwise
+/// identical for every thread count and loop order.
 ///
 /// # Errors
 ///
@@ -699,140 +606,6 @@ pub fn im2row_i16_into(
     Ok((rows, cols))
 }
 
-/// Multiplies two `i16` matrices, `[m, k] x [k, n]`, into an exact `i64`
-/// accumulator matrix `[m, n]`.
-///
-/// Products are at most `2^30`, so the `i64` accumulator is exact for any
-/// reduction length that fits in memory. Parallelized over output row blocks
-/// with bitwise identical results for every thread count.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the slice lengths do not match
-/// `m * k` / `k * n`.
-pub fn matmul_i16(
-    a: &[i16],
-    b: &[i16],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Result<Vec<i64>, TensorError> {
-    matmul_i16_with(&auto_executor(m * k * n), a, b, m, k, n)
-}
-
-/// [`matmul_i16`] on an explicit executor.
-///
-/// Transposes `b` once up front and runs the register-blocked
-/// [`matmul_abt_i64_into`] kernel — the same transposed-layout treatment the
-/// i8 path got, which replaces the old strided `ikj` walk with contiguous
-/// dot products (and picks up the SIMD backends for free). Integer
-/// accumulation is exact, so the repack changes no bits.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] on length mismatches.
-pub fn matmul_i16_with(
-    exec: &Executor,
-    a: &[i16],
-    b: &[i16],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Result<Vec<i64>, TensorError> {
-    check_matmul(a.len(), b.len(), m, k, n, "matmul_i16")?;
-    let mut bt = vec![0i16; n * k];
-    for (p, b_row) in b.chunks_exact(n.max(1)).enumerate() {
-        for (j, &v) in b_row.iter().enumerate() {
-            bt[j * k + p] = v;
-        }
-    }
-    let mut out = vec![0i64; m * n];
-    matmul_abt_i64_into(exec, a, &bt, m, k, n, &mut out)?;
-    Ok(out)
-}
-
-fn im2col_generic<T: Copy + Default>(
-    input: &[T],
-    batch: usize,
-    channels: usize,
-    geom: &ConvGeometry,
-) -> Result<(Vec<T>, usize, usize), TensorError> {
-    if input.len() != batch * channels * geom.in_h * geom.in_w {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![input.len()],
-            rhs: vec![batch, channels, geom.in_h, geom.in_w],
-            op: "im2col_int",
-        });
-    }
-    let out_h = geom.out_h();
-    let out_w = geom.out_w();
-    let rows = channels * geom.kernel_h * geom.kernel_w;
-    let cols = batch * out_h * out_w;
-    let mut out = vec![T::default(); rows * cols];
-    // Batch-major fill, the same scatter order as the sequential float
-    // im2col; padding taps keep the zero default (zero-point is always 0 in
-    // the symmetric fixed-point scheme, so integer padding is literal 0).
-    for b in 0..batch {
-        for c in 0..channels {
-            for kh in 0..geom.kernel_h {
-                for kw in 0..geom.kernel_w {
-                    let row = (c * geom.kernel_h + kh) * geom.kernel_w + kw;
-                    for oh in 0..out_h {
-                        let ih = (oh * geom.stride_h + kh) as isize - geom.pad_h as isize;
-                        if ih < 0 || ih as usize >= geom.in_h {
-                            continue;
-                        }
-                        for ow in 0..out_w {
-                            let iw = (ow * geom.stride_w + kw) as isize - geom.pad_w as isize;
-                            if iw < 0 || iw as usize >= geom.in_w {
-                                continue;
-                            }
-                            let col = (b * out_h + oh) * out_w + ow;
-                            out[row * cols + col] =
-                                input[((b * channels + c) * geom.in_h + ih as usize) * geom.in_w
-                                    + iw as usize];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok((out, rows, cols))
-}
-
-/// Unfolds an NCHW `i8` code tensor into im2col columns, returning
-/// `(columns, rows, cols)` with `rows = channels * kh * kw` and
-/// `cols = batch * out_h * out_w`. Padding positions hold integer zero (the
-/// symmetric scheme's zero-point).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `input` does not hold
-/// `batch * channels * in_h * in_w` codes.
-pub fn im2col_i8(
-    input: &[i8],
-    batch: usize,
-    channels: usize,
-    geom: &ConvGeometry,
-) -> Result<(Vec<i8>, usize, usize), TensorError> {
-    im2col_generic(input, batch, channels, geom)
-}
-
-/// [`im2col_i8`] for `i16` codes.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `input` does not hold
-/// `batch * channels * in_h * in_w` codes.
-pub fn im2col_i16(
-    input: &[i16],
-    batch: usize,
-    channels: usize,
-    geom: &ConvGeometry,
-) -> Result<(Vec<i16>, usize, usize), TensorError> {
-    im2col_generic(input, batch, channels, geom)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -840,8 +613,47 @@ mod tests {
     use crate::rng::{Rng, Xoshiro256StarStar};
     use crate::Tensor;
 
-    fn random_codes_i8(n: usize, rng: &mut Xoshiro256StarStar) -> Vec<i8> {
-        (0..n).map(|_| (rng.next_u64() % 255) as i8).collect()
+    fn random_codes_i8(n: usize, rng: &mut Xoshiro256StarStar) -> Vec<i16> {
+        (0..n)
+            .map(|_| (rng.next_u64() % 255) as i8 as i16)
+            .collect()
+    }
+
+    /// Transposes a `[k, n]` row-major matrix into the `[n, k]` layout the
+    /// packed kernels take.
+    fn transpose(b: &[i16], k: usize, n: usize) -> Vec<i16> {
+        let mut bt = vec![0i16; n * k];
+        for (p, b_row) in b.chunks_exact(n).enumerate() {
+            for (j, &v) in b_row.iter().enumerate() {
+                bt[j * k + p] = v;
+            }
+        }
+        bt
+    }
+
+    /// The naive triple loop `[m, k] x [k, n]` with `i64` accumulation.
+    fn naive_matmul(a: &[i16], b: &[i16], m: usize, k: usize, n: usize) -> Vec<i64> {
+        let mut out = vec![0i64; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                out[i * n + j] = (0..k)
+                    .map(|p| a[i * k + p] as i64 * b[p * n + j] as i64)
+                    .sum();
+            }
+        }
+        out
+    }
+
+    fn wide_i32(exec: &Executor, a: &[i16], b: &[i16], m: usize, k: usize, n: usize) -> Vec<i32> {
+        let mut out = vec![0i32; m * n];
+        matmul_wide_i32_into(exec, a, &transpose(b, k, n), m, k, n, &mut out).unwrap();
+        out
+    }
+
+    fn abt_i64(exec: &Executor, a: &[i16], b: &[i16], m: usize, k: usize, n: usize) -> Vec<i64> {
+        let mut out = vec![0i64; m * n];
+        matmul_abt_i64_into(exec, a, &transpose(b, k, n), m, k, n, &mut out).unwrap();
+        out
     }
 
     #[test]
@@ -867,15 +679,16 @@ mod tests {
     }
 
     #[test]
-    fn matmul_i8_known_values() {
-        let a: Vec<i8> = vec![1, 2, 3, 4];
-        let b: Vec<i8> = vec![5, 6, 7, 8];
-        assert_eq!(matmul_i8(&a, &b, 2, 2, 2).unwrap(), vec![19, 22, 43, 50]);
-        assert!(matmul_i8(&a, &b, 2, 3, 2).is_err());
+    fn wide_i32_matmul_known_values() {
+        let (a, b) = ([1i16, 2, 3, 4], [5i16, 6, 7, 8]);
+        let seq = Executor::sequential();
+        assert_eq!(wide_i32(&seq, &a, &b, 2, 2, 2), vec![19, 22, 43, 50]);
+        let mut out = vec![0i32; 4];
+        assert!(matmul_wide_i32_into(&seq, &a, &b, 2, 3, 2, &mut out).is_err());
     }
 
     #[test]
-    fn matmul_i8_matches_float_on_integer_values() {
+    fn wide_i32_matmul_matches_float_on_integer_values() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(5);
         let (m, k, n) = (13, 29, 17);
         let a = random_codes_i8(m * k, &mut rng);
@@ -883,7 +696,7 @@ mod tests {
         let af = Tensor::from_vec(a.iter().map(|&v| v as f32).collect(), &[m, k]).unwrap();
         let bf = Tensor::from_vec(b.iter().map(|&v| v as f32).collect(), &[k, n]).unwrap();
         let cf = matmul(&af, &bf).unwrap();
-        let ci = matmul_i8(&a, &b, m, k, n).unwrap();
+        let ci = wide_i32(&Executor::sequential(), &a, &b, m, k, n);
         // products and partial sums stay far below 2^24, so f32 is exact here
         for (x, &y) in ci.iter().zip(cf.as_slice()) {
             assert_eq!(*x as f32, y);
@@ -891,16 +704,15 @@ mod tests {
     }
 
     #[test]
-    fn matmul_i16_matches_i8_on_narrow_values() {
+    fn abt_i64_matmul_matches_wide_i32_on_narrow_values() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(6);
         let (m, k, n) = (7, 11, 9);
-        let a8 = random_codes_i8(m * k, &mut rng);
-        let b8 = random_codes_i8(k * n, &mut rng);
-        let a16: Vec<i16> = a8.iter().map(|&v| v as i16).collect();
-        let b16: Vec<i16> = b8.iter().map(|&v| v as i16).collect();
-        let c8 = matmul_i8(&a8, &b8, m, k, n).unwrap();
-        let c16 = matmul_i16(&a16, &b16, m, k, n).unwrap();
-        for (x, y) in c8.iter().zip(&c16) {
+        let a = random_codes_i8(m * k, &mut rng);
+        let b = random_codes_i8(k * n, &mut rng);
+        let seq = Executor::sequential();
+        let c32 = wide_i32(&seq, &a, &b, m, k, n);
+        let c64 = abt_i64(&seq, &a, &b, m, k, n);
+        for (x, y) in c32.iter().zip(&c64) {
             assert_eq!(*x as i64, *y);
         }
     }
@@ -911,136 +723,97 @@ mod tests {
         let (m, k, n) = (37, 23, 41);
         let a = random_codes_i8(m * k, &mut rng);
         let b = random_codes_i8(k * n, &mut rng);
-        let seq = matmul_i8_with(&Executor::sequential(), &a, &b, m, k, n).unwrap();
-        let par = matmul_i8_with(&Executor::new(4), &a, &b, m, k, n).unwrap();
-        assert_eq!(seq, par);
-        let a16: Vec<i16> = a.iter().map(|&v| v as i16 * 100).collect();
-        let b16: Vec<i16> = b.iter().map(|&v| v as i16 * 100).collect();
-        let seq = matmul_i16_with(&Executor::sequential(), &a16, &b16, m, k, n).unwrap();
-        let par = matmul_i16_with(&Executor::new(4), &a16, &b16, m, k, n).unwrap();
-        assert_eq!(seq, par);
+        let (seq, par) = (Executor::sequential(), Executor::new(4));
+        assert_eq!(
+            wide_i32(&seq, &a, &b, m, k, n),
+            wide_i32(&par, &a, &b, m, k, n)
+        );
+        let a16: Vec<i16> = a.iter().map(|&v| v * 100).collect();
+        let b16: Vec<i16> = b.iter().map(|&v| v * 100).collect();
+        assert_eq!(
+            abt_i64(&seq, &a16, &b16, m, k, n),
+            abt_i64(&par, &a16, &b16, m, k, n)
+        );
     }
 
     #[test]
-    fn matmul_i8_rejects_oversized_reduction() {
-        let a = vec![0i8; 1 << 18];
-        let b = vec![0i8; 1 << 18];
-        assert!(matmul_i8(&a, &b, 1, 1 << 18, 1).is_err());
+    fn wide_i32_matmul_rejects_oversized_reduction() {
+        let seq = Executor::sequential();
+        let mut one = vec![0i32; 1];
+        let a = vec![0i16; 1 << 18];
+        assert!(matmul_wide_i32_into(&seq, &a, &a, 1, 1 << 18, 1, &mut one).is_err());
         // Boundary: k = 2^17 all-extreme products reach exactly 2^31, one
         // past i32::MAX, so the bound is strict.
-        let a = vec![i8::MIN; 1 << 17];
-        assert!(matmul_i8(&a, &a, 1, 1 << 17, 1).is_err());
-        let a = vec![i8::MIN; (1 << 17) - 1];
-        let c = matmul_i8(&a, &a, 1, (1 << 17) - 1, 1).unwrap();
-        assert_eq!(c[0], (1 << 14) * ((1 << 17) - 1));
+        let a = vec![i8::MIN as i16; 1 << 17];
+        assert!(matmul_wide_i32_into(&seq, &a, &a, 1, 1 << 17, 1, &mut one).is_err());
+        let a = vec![i8::MIN as i16; (1 << 17) - 1];
+        matmul_wide_i32_into(&seq, &a, &a, 1, (1 << 17) - 1, 1, &mut one).unwrap();
+        assert_eq!(one[0], (1 << 14) * ((1 << 17) - 1));
     }
 
     #[test]
-    fn im2col_i8_matches_float_im2col() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(9);
-        let (b, c, h, w) = (2usize, 3usize, 6usize, 5usize);
-        let codes = random_codes_i8(b * c * h * w, &mut rng);
-        let geom = ConvGeometry {
-            in_h: h,
-            in_w: w,
-            kernel_h: 3,
-            kernel_w: 2,
-            stride_h: 1,
-            stride_w: 2,
-            pad_h: 1,
-            pad_w: 1,
-        };
-        let (cols_i, rows, cols) = im2col_i8(&codes, b, c, &geom).unwrap();
-        let xf =
-            Tensor::from_vec(codes.iter().map(|&v| v as f32).collect(), &[b, c, h, w]).unwrap();
-        let cols_f = im2col(&xf, &geom).unwrap();
-        assert_eq!(cols_f.dims(), &[rows, cols]);
-        for (i, &v) in cols_i.iter().enumerate() {
-            assert_eq!(v as f32, cols_f.as_slice()[i]);
-        }
-        assert!(im2col_i8(&codes[1..], b, c, &geom).is_err());
-    }
-
-    #[test]
-    fn packed_kernels_match_packing_entry_points() {
-        // The plan-facing pre-packed kernels must reproduce the packing
-        // entry points bit for bit on identical operands.
+    fn packed_kernels_match_naive_reference() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(11);
         let (m, k, n) = (19, 31, 23);
         let a = random_codes_i8(m * k, &mut rng);
         let b = random_codes_i8(k * n, &mut rng);
-        let reference = matmul_i8(&a, &b, m, k, n).unwrap();
-
-        let a16: Vec<i16> = a.iter().map(|&v| v as i16).collect();
-        let mut bt16 = vec![0i16; n * k];
-        for (p, b_row) in b.chunks_exact(n).enumerate() {
-            for (j, &v) in b_row.iter().enumerate() {
-                bt16[j * k + p] = v as i16;
-            }
-        }
-        let mut out = vec![0i32; m * n];
-        matmul_wide_i32_into(&Executor::sequential(), &a16, &bt16, m, k, n, &mut out).unwrap();
+        let reference = naive_matmul(&a, &b, m, k, n);
+        let out = wide_i32(&Executor::sequential(), &a, &b, m, k, n);
+        let out: Vec<i64> = out.into_iter().map(i64::from).collect();
         assert_eq!(out, reference);
 
-        // The abt i64 kernel agrees with matmul_i16 despite the different
-        // loop order (integer accumulation is exact).
-        let aw: Vec<i16> = a16.iter().map(|&v| v * 50).collect();
-        let btw: Vec<i16> = bt16.iter().map(|&v| v * 50).collect();
-        let bw: Vec<i16> = b.iter().map(|&v| v as i16 * 50).collect();
-        let reference = matmul_i16(&aw, &bw, m, k, n).unwrap();
-        let mut out64 = vec![0i64; m * n];
-        matmul_abt_i64_into(&Executor::new(4), &aw, &btw, m, k, n, &mut out64).unwrap();
-        assert_eq!(out64, reference);
+        // The abt i64 kernel on wide operands, despite its different loop
+        // order (integer accumulation is exact).
+        let aw: Vec<i16> = a.iter().map(|&v| v * 50).collect();
+        let bw: Vec<i16> = b.iter().map(|&v| v * 50).collect();
+        let reference = naive_matmul(&aw, &bw, m, k, n);
+        assert_eq!(abt_i64(&Executor::new(4), &aw, &bw, m, k, n), reference);
 
         // shape validation
+        let bt = transpose(&b, k, n);
+        let mut out = vec![0i32; m * n];
         assert!(
-            matmul_wide_i32_into(&Executor::sequential(), &a16, &bt16, m, k + 1, n, &mut out)
-                .is_err()
+            matmul_wide_i32_into(&Executor::sequential(), &a, &bt, m, k + 1, n, &mut out).is_err()
         );
-        let huge = vec![0i16; 1 << 17];
-        let mut one = vec![0i32; 1];
-        assert!(matmul_wide_i32_into(
-            &Executor::sequential(),
-            &huge,
-            &huge,
-            1,
-            1 << 17,
-            1,
-            &mut one
-        )
-        .is_err());
+        let mut out64 = vec![0i64; m * n];
+        assert!(
+            matmul_abt_i64_into(&Executor::sequential(), &a, &bt, m, k + 1, n, &mut out64).is_err()
+        );
     }
 
     #[test]
-    fn im2row_is_the_transposed_im2col() {
+    fn im2row_is_the_transposed_float_im2col() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(13);
-        let (b, c, h, w) = (2usize, 3usize, 7usize, 5usize);
-        let codes8 = random_codes_i8(b * c * h * w, &mut rng);
-        let codes: Vec<i16> = codes8.iter().map(|&v| v as i16).collect();
-        let geom = ConvGeometry {
-            in_h: h,
-            in_w: w,
-            kernel_h: 3,
-            kernel_w: 2,
-            stride_h: 2,
-            stride_w: 1,
-            pad_h: 1,
-            pad_w: 1,
-        };
-        let (cols_i, rows, cols) = im2col_i8(&codes8, b, c, &geom).unwrap();
-        let mut packed = vec![99i16; 3]; // wrong size + stale contents
-        let (r2, c2) = im2row_i16_into(&codes, b, c, &geom, &mut packed).unwrap();
-        assert_eq!((rows, cols), (r2, c2));
-        for row in 0..rows {
-            for col in 0..cols {
-                assert_eq!(
-                    packed[col * rows + row],
-                    cols_i[row * cols + col] as i16,
-                    "mismatch at ({row}, {col})"
-                );
+        let (b, c) = (2usize, 3usize);
+        for (h, w, stride_h, stride_w) in [(7usize, 5usize, 2usize, 1usize), (6, 5, 1, 2)] {
+            let codes = random_codes_i8(b * c * h * w, &mut rng);
+            let geom = ConvGeometry {
+                in_h: h,
+                in_w: w,
+                kernel_h: 3,
+                kernel_w: 2,
+                stride_h,
+                stride_w,
+                pad_h: 1,
+                pad_w: 1,
+            };
+            let xf =
+                Tensor::from_vec(codes.iter().map(|&v| v as f32).collect(), &[b, c, h, w]).unwrap();
+            let cols_f = im2col(&xf, &geom).unwrap();
+            let mut packed = vec![99i16; 3]; // wrong size + stale contents
+            let (rows, cols) = im2row_i16_into(&codes, b, c, &geom, &mut packed).unwrap();
+            assert_eq!(cols_f.dims(), &[rows, cols]);
+            for row in 0..rows {
+                for col in 0..cols {
+                    assert_eq!(
+                        packed[col * rows + row] as f32,
+                        cols_f.as_slice()[row * cols + col],
+                        "mismatch at ({row}, {col})"
+                    );
+                }
             }
+            assert!(im2row_i16_into(&codes[1..], b, c, &geom, &mut packed).is_err());
         }
-        assert!(im2row_i16_into(&codes[1..], b, c, &geom, &mut packed).is_err());
     }
 
     #[test]
@@ -1049,8 +822,7 @@ mod tests {
         // (-2^15) * (-2^15) * k accumulates exactly in i64.
         let k = 64usize;
         let a = vec![i16::MIN; k];
-        let b = vec![i16::MIN; k];
-        let c = matmul_i16(&a, &b, 1, k, 1).unwrap();
+        let c = abt_i64(&Executor::sequential(), &a, &a, 1, k, 1);
         assert_eq!(c[0], (i16::MIN as i64) * (i16::MIN as i64) * k as i64);
         // requantizing that into an i16 range must saturate, not wrap
         assert_eq!(requantize(c[0], 8, i16::MIN as i64, i16::MAX as i64), 32767);

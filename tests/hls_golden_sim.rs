@@ -7,17 +7,21 @@
 //! input — computes the arithmetic Phase 3 scored. This is the role
 //! C-simulation plays in a real HLS flow, runnable without Vivado.
 //!
-//! Coverage: every zoo subject × every searched format {4, 6, 8, 16} bits,
-//! deterministic and Monte-Carlo forwards, seeded multi-sample prediction,
-//! saturation edge inputs, and the static-schedule cross-check against
-//! `bnn-hw`'s analytic MAC model.
+//! Coverage: every zoo subject (plus a trained LeNet-5) × every searched
+//! format {4, 6, 8, 16} bits, deterministic and Monte-Carlo forwards under
+//! several shared reseeds, seeded multi-sample prediction, saturation edge
+//! inputs, and the static-schedule cross-check against `bnn-hw`'s analytic
+//! MAC model.
 
 use bayesnn_fpga::hls::{HlsConfig, HlsSimulator, LoweredDesign, SimMode};
 use bayesnn_fpga::models::{zoo, ModelConfig, NetworkSpec};
+use bayesnn_fpga::nn::optimizer::Sgd;
+use bayesnn_fpga::nn::trainer::{train, LabelledBatchSource, TrainConfig};
 use bayesnn_fpga::nn::Mode;
 use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat, QuantPlan};
 use bayesnn_fpga::tensor::rng::Xoshiro256StarStar;
 use bayesnn_fpga::tensor::Tensor;
+use bnn_data::{DatasetSpec, SyntheticConfig};
 
 struct Subject {
     name: &'static str,
@@ -74,6 +78,47 @@ fn subjects() -> Vec<Subject> {
             input,
         });
     }
+    {
+        // Trained weights: calibrated ranges and codes far from the build
+        // initialisation, evaluated on a held-out synthetic batch.
+        let spec = zoo::lenet5(
+            &ModelConfig::mnist()
+                .with_resolution(10, 10)
+                .with_width_divisor(8)
+                .with_classes(4),
+        )
+        .with_exits_after_every_block()
+        .unwrap()
+        .with_exit_mcd(0.25)
+        .unwrap();
+        let data = SyntheticConfig::new(
+            DatasetSpec::mnist_like()
+                .with_resolution(10, 10)
+                .with_classes(4),
+        )
+        .with_samples(64, 24)
+        .generate(17)
+        .unwrap();
+        let mut net = spec.build(4).unwrap();
+        let batches =
+            LabelledBatchSource::new(data.train.inputs().clone(), data.train.labels().to_vec())
+                .unwrap();
+        let mut sgd = Sgd::new(0.05).with_momentum(0.9);
+        let cfg = TrainConfig {
+            epochs: 2,
+            batch_size: 16,
+            ..TrainConfig::default()
+        };
+        train(&mut net, &batches, &mut sgd, &cfg).unwrap();
+        let calib = data.train.take(24).unwrap().inputs().clone();
+        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
+        out.push(Subject {
+            name: "lenet5_trained",
+            spec,
+            calibrated,
+            input: data.test.inputs().clone(),
+        });
+    }
     out
 }
 
@@ -114,23 +159,25 @@ fn forward_is_bit_exact_in_both_modes_for_every_subject_and_format() {
 
             // Monte-Carlo forward: identical reseed on both sides, masks
             // drawn from the same per-step streams.
-            plan.reseed_mc_streams(99);
-            sim.reseed_mc_streams(99);
-            let sim_mc = sim
-                .forward_exits(&subject.input, SimMode::McSample)
-                .unwrap();
-            let plan_mc = plan
-                .forward_exits_int(&subject.input, Mode::McSample)
-                .unwrap();
-            for (e, (codes, reference)) in sim_mc.iter().zip(&plan_mc).enumerate() {
-                let scale = design.schedule().exits[e].out_params.scale();
-                assert_eq!(
-                    dequant(codes, scale),
-                    reference.as_slice(),
-                    "{} {:?} exit {e} McSample",
-                    subject.name,
-                    format
-                );
+            for seed in [99u64, 5, 2023] {
+                plan.reseed_mc_streams(seed);
+                sim.reseed_mc_streams(seed);
+                let sim_mc = sim
+                    .forward_exits(&subject.input, SimMode::McSample)
+                    .unwrap();
+                let plan_mc = plan
+                    .forward_exits_int(&subject.input, Mode::McSample)
+                    .unwrap();
+                for (e, (codes, reference)) in sim_mc.iter().zip(&plan_mc).enumerate() {
+                    let scale = design.schedule().exits[e].out_params.scale();
+                    assert_eq!(
+                        dequant(codes, scale),
+                        reference.as_slice(),
+                        "{} {:?} exit {e} McSample seed {seed}",
+                        subject.name,
+                        format
+                    );
+                }
             }
         }
     }
@@ -143,9 +190,9 @@ fn predict_probs_is_bit_exact_for_every_subject_and_format() {
             let (design, mut plan) = design_and_plan(&subject, format);
             let mut sim = HlsSimulator::new(design.schedule().clone());
             // n_samples exercises: fewer than the exit count (early pass
-            // break), an uneven multiple (partial last pass), and zero (the
-            // one-deterministic-pass convention).
-            for n_samples in [1, 5, 0] {
+            // break), uneven multiples (partial last pass), even multiples,
+            // and zero (the one-deterministic-pass convention).
+            for n_samples in [1, 5, 0, 3, 4, 7, 6] {
                 let probs = sim.predict_probs(&subject.input, n_samples, 2023).unwrap();
                 let reference = plan.predict_probs(&subject.input, n_samples, 2023).unwrap();
                 assert_eq!(

@@ -12,9 +12,8 @@
 
 use bayesnn_fpga::tensor::exec::Executor;
 use bayesnn_fpga::tensor::int::{
-    im2row_i16_into, matmul_abt_i64_into, matmul_i16, matmul_wide_i32_into,
-    requantize_i32_row_biased_into, requantize_i32_row_into, requantize_i64_row_biased_into,
-    requantize_i64_row_into,
+    im2row_i16_into, matmul_abt_i64_into, matmul_wide_i32_into, requantize_i32_row_biased_into,
+    requantize_i32_row_into, requantize_i64_row_biased_into, requantize_i64_row_into,
 };
 use bayesnn_fpga::tensor::linalg::ConvGeometry;
 use bayesnn_fpga::tensor::rng::{Rng, Xoshiro256StarStar};
@@ -106,8 +105,8 @@ fn matmul_kernels_match_scalar_bitwise_across_backends_and_threads() {
 
 #[test]
 fn transposed_i16_matmul_matches_naive_reference() {
-    // `matmul_i16` now repacks through the register-blocked abt kernel; pin
-    // it to a naive triple loop so the repack itself is verified, not just
+    // Pin the abt i64 kernel to a naive triple loop over the untransposed
+    // operands, so the transposed layout itself is verified, not just
     // backend-vs-backend consistency.
     let mut rng = Xoshiro256StarStar::seed_from_u64(43);
     for &(m, k, n) in SHAPES {
@@ -123,8 +122,15 @@ fn transposed_i16_matmul_matches_naive_reference() {
                 naive[i * n + j] = acc;
             }
         }
+        let mut bt = vec![0i16; n * k];
+        for p in 0..k {
+            for j in 0..n {
+                bt[j * k + p] = b[p * n + j];
+            }
+        }
         for_each_backend(|backend| {
-            let got = matmul_i16(&a, &b, m, k, n).unwrap();
+            let mut got = vec![0i64; m * n];
+            matmul_abt_i64_into(&Executor::sequential(), &a, &bt, m, k, n, &mut got).unwrap();
             assert_eq!(got, naive, "{m}x{k}x{n} backend={backend:?}");
         });
     }
