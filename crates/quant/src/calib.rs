@@ -644,3 +644,137 @@ pub(crate) fn quantize_affine(
 pub(crate) fn dropout_scale_q(rate: f64) -> i64 {
     (1.0 / (1.0 - rate) * 2f64.powi(MUL_FRAC as i32)).round() as i64
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixed::FixedPointFormat;
+    use crate::params::IntWidth;
+
+    fn params(total: u32, int: u32) -> QuantParams {
+        QuantParams::new(FixedPointFormat::new(total, int).unwrap()).unwrap()
+    }
+
+    fn range(values: &[f32]) -> ValueRange {
+        ValueRange::observe(values).unwrap()
+    }
+
+    fn no_bias(n: usize) -> Tensor {
+        Tensor::from_vec(vec![0.0; n], &[n]).unwrap()
+    }
+
+    #[test]
+    fn weight_codes_round_trip_on_grid() {
+        let w = Tensor::from_vec(vec![0.375, -1.25, 2.0, 0.0], &[2, 2]).unwrap();
+        let q = quantize_weights(
+            &w,
+            &no_bias(2),
+            range(w.as_slice()),
+            8,
+            params(8, 3),
+            params(8, 3),
+        )
+        .unwrap();
+        assert_eq!(q.codes.len(), 4);
+        let back = q.weight_values(&[2, 2]).unwrap();
+        assert_eq!(back.as_slice(), w.as_slice());
+        assert_eq!(back.dims(), &[2, 2]);
+    }
+
+    #[test]
+    fn weight_codes_match_fake_quantization() {
+        let w = Tensor::from_vec((-20..20).map(|i| i as f32 * 0.173).collect(), &[40]).unwrap();
+        let q = quantize_weights(
+            &w,
+            &no_bias(1),
+            range(&[-1.9, 1.9]),
+            6,
+            params(6, 2),
+            params(6, 2),
+        )
+        .unwrap();
+        assert_eq!(q.w_params.format(), FixedPointFormat::new(6, 2).unwrap());
+        let fake = w.map(|v| q.w_params.format().quantize(v));
+        assert_eq!(q.weight_values(&[40]).unwrap().as_slice(), fake.as_slice());
+    }
+
+    #[test]
+    fn weight_codes_follow_the_format_width() {
+        // Codes are widened to `i16` for every format; their values use
+        // exactly the format's code range.
+        let w = Tensor::ones(&[3]);
+        let r = range(&[-2.0, 2.0]);
+        let q8 = quantize_weights(&w, &no_bias(1), r, 8, params(8, 3), params(8, 3)).unwrap();
+        assert_eq!(q8.w_params.width(), IntWidth::W8);
+        assert_eq!(q8.codes, vec![32, 32, 32]);
+        let q16 = quantize_weights(&w, &no_bias(1), r, 16, params(16, 6), params(16, 6)).unwrap();
+        assert_eq!(q16.w_params.width(), IntWidth::W16);
+        assert_eq!(q16.codes, vec![8192, 8192, 8192]);
+    }
+
+    #[test]
+    fn max_magnitude_weights_saturate_to_code_extremes() {
+        // Weights far beyond the recorded range pin at qmin/qmax instead of
+        // wrapping around, also at 16 bits where the codes fill `i16`.
+        let w = Tensor::from_vec(vec![1e6, -1e6], &[2]).unwrap();
+        for total in [4, 16] {
+            let q = quantize_weights(
+                &w,
+                &no_bias(1),
+                range(&[-1.0, 1.0]),
+                total,
+                params(total, 2),
+                params(total, 2),
+            )
+            .unwrap();
+            let codes: Vec<i64> = q.codes.iter().map(|&c| c as i64).collect();
+            assert_eq!(codes, vec![q.w_params.qmax(), q.w_params.qmin()]);
+        }
+    }
+
+    #[test]
+    fn bias_codes_sit_at_the_accumulator_scale() {
+        let w = Tensor::from_vec(vec![0.5, -0.25], &[1, 2]).unwrap();
+        let bias = Tensor::from_vec(vec![0.75, -0.3], &[2]).unwrap();
+        let (in_params, out) = (params(8, 3), params(8, 4));
+        let q = quantize_weights(&w, &bias, range(w.as_slice()), 8, in_params, out).unwrap();
+        let acc_frac = q.w_params.fractional_bits() + in_params.fractional_bits();
+        let acc = 2f64.powi(acc_frac as i32);
+        let expected: Vec<i64> = [0.75f32, -0.3]
+            .iter()
+            .map(|&b| (b as f64 * acc).round() as i64)
+            .collect();
+        assert_eq!(q.bias, expected);
+        assert_eq!(q.bias_values()[0], 0.75); // on the accumulator grid
+        assert!((q.bias_values()[1] + 0.3).abs() <= (0.5 / acc) as f32);
+        assert_eq!(q.shift, acc_frac as i32 - out.fractional_bits() as i32);
+    }
+
+    #[test]
+    fn affine_multipliers_carry_mul_frac_fractional_bits() {
+        let (in_params, out) = (params(8, 3), params(8, 2));
+        let q = quantize_affine(&[1.5, -0.7], &[0.25, 1.1], in_params, out);
+        // m = scale * eps_in / eps_out at MUL_FRAC fractional bits:
+        // 1.5 * 2^-5 / 2^-6 = 3.
+        assert_eq!(q.m[0], 3 << MUL_FRAC);
+        assert_eq!(q.b[0], (0.25 / out.scale() as f64 * 4096.0).round() as i64);
+        // Back in value space the multipliers reproduce the float affine up
+        // to one MUL_FRAC step.
+        let tol = 1.0 / (1u64 << MUL_FRAC) as f32;
+        for (m, want) in q.m_values(in_params, out).iter().zip([1.5f32, -0.7]) {
+            assert!((m - want).abs() <= tol * out.scale() / in_params.scale());
+        }
+        for (b, want) in q.b_values(out).iter().zip([0.25f32, 1.1]) {
+            assert!((b - want).abs() <= tol * out.scale());
+        }
+    }
+
+    #[test]
+    fn dropout_scale_is_the_rounded_inverse_keep_rate() {
+        assert_eq!(dropout_scale_q(0.0), 1 << MUL_FRAC);
+        assert_eq!(dropout_scale_q(0.5), 2 << MUL_FRAC);
+        assert_eq!(dropout_scale_q(0.75), 4 << MUL_FRAC);
+        // 1 / 0.75 = 1.333..., rounded at 12 fractional bits.
+        assert_eq!(dropout_scale_q(0.25), 5461);
+    }
+}

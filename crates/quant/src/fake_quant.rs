@@ -476,3 +476,97 @@ fn run_op(op: &mut Op, input: &Tensor, mode: Mode) -> Result<Tensor, QuantError>
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bnn_models::{zoo, ModelConfig};
+
+    fn fmt(total: u32, int: u32) -> FixedPointFormat {
+        FixedPointFormat::new(total, int).unwrap()
+    }
+
+    fn batch(dims: &[usize], seed: u64) -> Tensor {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        Tensor::randn(dims, &mut rng)
+    }
+
+    fn calibrated(seed: u64) -> CalibratedNetwork {
+        let net = zoo::lenet5(
+            &ModelConfig::mnist()
+                .with_resolution(10, 10)
+                .with_width_divisor(8)
+                .with_classes(4),
+        )
+        .with_exits_after_every_block()
+        .unwrap()
+        .with_exit_mcd(0.25)
+        .unwrap()
+        .build(seed)
+        .unwrap();
+        CalibratedNetwork::calibrate(&net, &batch(&[4, 1, 10, 10], seed + 1)).unwrap()
+    }
+
+    #[test]
+    fn reseeding_replays_masks_and_eval_draws_none() {
+        let mut reference = calibrated(1).fake_quant(fmt(8, 3)).unwrap();
+        let x = batch(&[3, 1, 10, 10], 3);
+        let eval = reference.forward_exits(&x, Mode::Eval).unwrap();
+        reference.reseed_mc_streams(5);
+        let a = reference.forward_exits(&x, Mode::McSample).unwrap();
+        let b = reference.forward_exits(&x, Mode::McSample).unwrap();
+        assert!(
+            a.iter().zip(&b).any(|(x, y)| x.as_slice() != y.as_slice()),
+            "fresh masks must differ"
+        );
+        reference.reseed_mc_streams(5);
+        let again = reference.forward_exits(&x, Mode::McSample).unwrap();
+        for (x, y) in a.iter().zip(&again) {
+            assert_eq!(x.as_slice(), y.as_slice());
+        }
+        // Sampling passes leave the deterministic path untouched.
+        let eval_again = reference.forward_exits(&x, Mode::Eval).unwrap();
+        for (x, y) in eval.iter().zip(&eval_again) {
+            assert_eq!(x.as_slice(), y.as_slice());
+        }
+    }
+
+    #[test]
+    fn outputs_are_one_logit_tensor_per_exit_on_the_exit_grid() {
+        let calibrated = calibrated(7);
+        let x = batch(&[3, 1, 10, 10], 9);
+        for format in [fmt(4, 2), fmt(8, 3), fmt(16, 6)] {
+            let mut reference = calibrated.fake_quant(format).unwrap();
+            let exit_params = calibrated.plan(format).unwrap().exit_out_params();
+            let logits = reference.forward_exits(&x, Mode::Eval).unwrap();
+            assert_eq!(logits.len(), calibrated.num_exits());
+            for (exit, params) in logits.iter().zip(exit_params) {
+                assert_eq!(exit.dims(), &[3, calibrated.num_classes()]);
+                let eps = params.scale();
+                for &v in exit.as_slice() {
+                    let steps = v / eps;
+                    assert!(
+                        (steps - steps.round()).abs() < 1e-4,
+                        "{format}: {v} off grid"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inputs_are_snapped_onto_the_input_grid() {
+        // Perturbations below half an input step round away, so the whole
+        // network sees the same codes.
+        let mut reference = calibrated(11).fake_quant(fmt(8, 3)).unwrap();
+        let x = batch(&[2, 1, 10, 10], 13);
+        let eps = reference.in_params.scale();
+        let snapped = x.map(|v| reference.in_params.fake_quantize(v));
+        let nudged = snapped.map(|v| v + 0.25 * eps);
+        let a = reference.forward_exits(&x, Mode::Eval).unwrap();
+        let b = reference.forward_exits(&nudged, Mode::Eval).unwrap();
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.as_slice(), y.as_slice());
+        }
+    }
+}

@@ -2022,8 +2022,9 @@ fn run_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bnn_models::{zoo, ModelConfig};
+    use bnn_models::{zoo, LayerSpec, ModelConfig, MultiExitNetwork, NetworkSpec};
     use bnn_nn::layer::Mode;
+    use bnn_nn::network::Network;
 
     fn fmt(total: u32, int: u32) -> FixedPointFormat {
         FixedPointFormat::new(total, int).unwrap()
@@ -2034,7 +2035,7 @@ mod tests {
         Tensor::randn(dims, &mut rng)
     }
 
-    fn lenet(seed: u64) -> bnn_models::MultiExitNetwork {
+    fn lenet(seed: u64) -> MultiExitNetwork {
         zoo::lenet5(
             &ModelConfig::mnist()
                 .with_resolution(10, 10)
@@ -2359,6 +2360,184 @@ mod tests {
         ));
         assert!(matches!(
             calibrated.fake_quant(fmt(24, 8)),
+            Err(QuantError::Unsupported(_))
+        ));
+    }
+
+    /// A single-block network on `[batch, features, 1, 1]` inputs: a
+    /// flatten backbone and the given classifier head.
+    fn flat_network(features: usize, classes: usize, head: Vec<LayerSpec>) -> MultiExitNetwork {
+        NetworkSpec::single_exit(
+            "flat",
+            features,
+            1,
+            1,
+            classes,
+            vec![vec![LayerSpec::Flatten]],
+            head,
+        )
+        .build(1)
+        .unwrap()
+    }
+
+    #[test]
+    fn eight_bit_integer_path_matches_float_sim_bitwise() {
+        // Every product and sum of an 8-bit LeNet stays below 2^24, where
+        // f32 is exact: the plan and the float reference must agree exactly,
+        // not just within a step.
+        let net = lenet(3);
+        let calib = calib_batch(&[6, 1, 10, 10], 3);
+        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
+        let mut plan = calibrated.plan(fmt(8, 3)).unwrap();
+        let mut reference = calibrated.fake_quant(fmt(8, 3)).unwrap();
+        let x = calib_batch(&[2, 1, 10, 10], 4);
+        let int = plan.forward_exits_int(&x, Mode::Eval).unwrap();
+        let float = reference.forward_exits(&x, Mode::Eval).unwrap();
+        assert_eq!(int.len(), 2);
+        for (a, b) in int.iter().zip(&float) {
+            assert_eq!(a.dims(), b.dims());
+            assert_eq!(a.as_slice(), b.as_slice());
+        }
+    }
+
+    #[test]
+    fn mc_dropout_masks_are_stream_seeded_and_domain_consistent() {
+        // MC dropout is the head's last op, so the exit output shows the
+        // mask positions directly.
+        let net = flat_network(
+            16,
+            32,
+            vec![
+                LayerSpec::Dense {
+                    in_features: 16,
+                    out_features: 32,
+                },
+                LayerSpec::McDropout { rate: 0.5 },
+            ],
+        );
+        let calib = calib_batch(&[8, 16, 1, 1], 9);
+        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
+        let mut plan = calibrated.plan(fmt(8, 3)).unwrap();
+        let mut reference = calibrated.fake_quant(fmt(8, 3)).unwrap();
+        let x = calib_batch(&[2, 16, 1, 1], 10);
+
+        plan.reseed_mc_streams(77);
+        let a = plan
+            .forward_exits_int(&x, Mode::McSample)
+            .unwrap()
+            .remove(0);
+        let b = plan
+            .forward_exits_int(&x, Mode::McSample)
+            .unwrap()
+            .remove(0);
+        assert_ne!(a.as_slice(), b.as_slice(), "fresh masks must differ");
+
+        // Reseeding replays the exact masks, and the reference draws the
+        // same ones.
+        plan.reseed_mc_streams(77);
+        let a2 = plan
+            .forward_exits_int(&x, Mode::McSample)
+            .unwrap()
+            .remove(0);
+        assert_eq!(a.as_slice(), a2.as_slice());
+        reference.reseed_mc_streams(77);
+        let sim = reference
+            .forward_exits(&x, Mode::McSample)
+            .unwrap()
+            .remove(0);
+        for (ai, si) in a.as_slice().iter().zip(sim.as_slice()) {
+            assert_eq!(*ai == 0.0, *si == 0.0, "mask positions must agree");
+        }
+        assert!(a.as_slice().contains(&0.0));
+
+        // Eval mode is deterministic and mask-free.
+        let e1 = plan.forward_exits_int(&x, Mode::Eval).unwrap().remove(0);
+        let e2 = plan.forward_exits_int(&x, Mode::Eval).unwrap().remove(0);
+        assert_eq!(e1.as_slice(), e2.as_slice());
+    }
+
+    #[test]
+    fn max_magnitude_inputs_saturate_instead_of_wrapping() {
+        // A dense layer fed the format's extreme values with extreme
+        // weights must pin at the output format's range.
+        let mut net = flat_network(
+            8,
+            2,
+            vec![LayerSpec::Dense {
+                in_features: 8,
+                out_features: 2,
+            }],
+        );
+        let weights = net
+            .params_mut()
+            .into_iter()
+            .find(|p| p.value.dims().len() == 2)
+            .unwrap();
+        for w in weights.value.as_mut_slice() {
+            *w = 100.0;
+        }
+        // Calibrate on small activations so the output format
+        // underestimates the extreme case below.
+        let calib = calib_batch(&[4, 8, 1, 1], 11);
+        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
+        let mut plan = calibrated.plan(fmt(4, 2)).unwrap();
+        let out = plan.exit_out_params()[0];
+        let qmax = out.dequantize_value(out.qmax());
+        let qmin = out.dequantize_value(out.qmin());
+        let hot = Tensor::full(&[1, 8, 1, 1], 1e9);
+        let logits = plan.forward_exits_int(&hot, Mode::Eval).unwrap().remove(0);
+        assert!(
+            logits.as_slice().iter().all(|&v| v == qmax),
+            "must pin at qmax"
+        );
+        let cold = Tensor::full(&[1, 8, 1, 1], -1e9);
+        let logits = plan.forward_exits_int(&cold, Mode::Eval).unwrap().remove(0);
+        assert!(
+            logits.as_slice().iter().all(|&v| v == qmin),
+            "must pin at qmin"
+        );
+    }
+
+    #[test]
+    fn sixteen_bit_formats_use_wide_kernels() {
+        let net = lenet(12);
+        let calib = calib_batch(&[4, 1, 10, 10], 12);
+        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
+        assert_eq!(calibrated.plan(fmt(8, 3)).unwrap().width, IntWidth::W8);
+        let mut plan = calibrated.plan(fmt(16, 6)).unwrap();
+        assert_eq!(plan.width, IntWidth::W16);
+        // 16-bit quantization barely perturbs the float reference.
+        let x = calib_batch(&[1, 1, 10, 10], 13);
+        let int = plan.forward_exits_int(&x, Mode::Eval).unwrap();
+        let float = calibrated
+            .fake_quant(fmt(16, 6))
+            .unwrap()
+            .forward_exits(&x, Mode::Eval)
+            .unwrap();
+        for ((a, b), params) in int.iter().zip(&float).zip(plan.exit_out_params()) {
+            let eps = params.scale();
+            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+                assert!((x - y).abs() <= eps, "{x} vs {y}");
+            }
+        }
+    }
+
+    #[test]
+    fn softmax_layers_have_no_integer_lowering() {
+        let net = flat_network(
+            4,
+            2,
+            vec![
+                LayerSpec::Dense {
+                    in_features: 4,
+                    out_features: 2,
+                },
+                LayerSpec::Softmax,
+            ],
+        );
+        let calib = calib_batch(&[2, 4, 1, 1], 15);
+        assert!(matches!(
+            CalibratedNetwork::calibrate(&net, &calib),
             Err(QuantError::Unsupported(_))
         ));
     }

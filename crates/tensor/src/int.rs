@@ -446,6 +446,22 @@ fn scalar_wide_i32_block(a16: &[i16], bt16: &[i16], k: usize, n: usize, chunk: &
 /// any reduction length that fits in memory, and results are bitwise
 /// identical for every thread count and loop order.
 ///
+/// # Example
+///
+/// ```
+/// use bnn_tensor::exec::Executor;
+/// use bnn_tensor::int::matmul_abt_i64_into;
+///
+/// # fn main() -> Result<(), bnn_tensor::TensorError> {
+/// let a = [300i16, -2, 1, 4]; // [2, 2], beyond the i8 range
+/// let bt = [5i16, 7, 6, 8]; // the transpose of [[5, 6], [7, 8]]
+/// let mut out = [0i64; 4];
+/// matmul_abt_i64_into(&Executor::sequential(), &a, &bt, 2, 2, 2, &mut out)?;
+/// assert_eq!(out, [1486, 1784, 33, 38]);
+/// # Ok(())
+/// # }
+/// ```
+///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if slice lengths do not match.
@@ -512,7 +528,29 @@ fn scalar_abt_i64_block(a: &[i16], bt: &[i16], k: usize, n: usize, chunk: &mut [
 /// integer matmul kernels consume, produced without a separate transpose
 /// pass. Padding taps hold integer zero. `out` is fully overwritten and only
 /// reallocated when its size changes, so the steady state of an arena incurs
-/// no heap allocation.
+/// no heap allocation. Returns `(rows, cols)`.
+///
+/// # Example
+///
+/// ```
+/// use bnn_tensor::int::im2row_i16_into;
+/// use bnn_tensor::linalg::ConvGeometry;
+///
+/// # fn main() -> Result<(), bnn_tensor::TensorError> {
+/// // One 2x3 plane, 2x2 kernel, stride 1: two patches of four taps.
+/// let input = [1i16, 2, 3, 4, 5, 6];
+/// let mut out = Vec::new();
+/// let dims = im2row_i16_into(&input, 1, 1, &ConvGeometry::square(2, 3, 2, 1, 0), &mut out)?;
+/// assert_eq!(dims, (4, 2));
+/// assert_eq!(out, [1, 2, 4, 5, 2, 3, 5, 6]);
+///
+/// // Padding taps hold integer zero.
+/// let dims = im2row_i16_into(&[7], 1, 1, &ConvGeometry::square(1, 1, 3, 1, 1), &mut out)?;
+/// assert_eq!(dims, (9, 1));
+/// assert_eq!(out[..9], [0, 0, 0, 0, 7, 0, 0, 0, 0]);
+/// # Ok(())
+/// # }
+/// ```
 ///
 /// # Errors
 ///
