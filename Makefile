@@ -27,6 +27,9 @@
 #   make perfbench  - the repository benchmark (BENCHMARK.json): all four
 #                     workloads, one process each, end-to-end metrics
 #   make test-perfbench - the benchmark's own unit tests
+#   make loc        - non-blank, non-comment line counts of library and test
+#                     code, per crate and in total (the LOC delta a
+#                     simplification change reports)
 #   make lint       - rustfmt check + clippy with warnings denied
 #   make doc        - rustdoc with warnings denied
 #   make ci         - everything the merge gate runs
@@ -38,7 +41,7 @@ CARGO ?= cargo
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build test test-doc test-st test-scalar test-plans test-serving test-robust test-adaptive test-hls test-perfbench bench bench-build bench-quant bench-save bench-serving perfbench lint fmt doc clean ci
+.PHONY: all build test test-doc test-st test-scalar test-plans test-serving test-robust test-adaptive test-hls test-perfbench bench bench-build bench-quant bench-save bench-serving perfbench loc lint fmt doc clean ci
 
 all: build
 
@@ -145,6 +148,32 @@ perfbench:
 # tracing).
 test-perfbench:
 	$(CARGO) test -q --offline --locked --manifest-path perfbench/Cargo.toml
+
+# Lines that are neither blank nor `//` comments (doc comments are comments), in
+# crates/*/src, src/ and tests/. Library code is everything outside
+# `#[cfg(test)]` modules; test code is those modules plus tests/.
+loc:
+	@find crates/*/src src tests -name '*.rs' | LC_ALL=C sort | xargs awk ' \
+		FNR == 1 { \
+			area = FILENAME; sub(/\/src\/.*/, "", area); sub(/^crates\//, "", area); \
+			if (FILENAME ~ /^src\//) area = "facade"; \
+			if (FILENAME ~ /^tests\//) area = "tests"; \
+			depth = 0; armed = 0; if (!(area in seen)) { seen[area] = 1; order[++n] = area } \
+		} \
+		/^[ \t]*$$/ || /^[ \t]*\/\// { next } \
+		depth > 0 { test[area]++; depth += gsub(/\{/, "{") - gsub(/\}/, "}"); next } \
+		armed && /^[ \t]*(pub )?mod [a-z0-9_]+ *\{/ { \
+			test[area]++; armed = 0; depth = gsub(/\{/, "{") - gsub(/\}/, "}"); next \
+		} \
+		/^[ \t]*#\[cfg\(test\)\]/ { test[area]++; armed = 1; next } \
+		{ armed = 0; if (area == "tests") test[area]++; else lib[area]++ } \
+		END { \
+			printf "%-10s %8s %8s\n", "area", "library", "test"; \
+			for (i = 1; i <= n; i++) { \
+				a = order[i]; printf "%-10s %8d %8d\n", a, lib[a], test[a]; tl += lib[a]; tt += test[a] \
+			} \
+			printf "%-10s %8d %8d\n", "total", tl, tt \
+		}'
 
 lint:
 	$(CARGO) fmt --check

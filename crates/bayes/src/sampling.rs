@@ -33,7 +33,7 @@
 //! single-threaded run.
 
 use crate::BayesError;
-use bnn_models::{ExitPolicy, MultiExitNetwork};
+use bnn_models::{ExitPolicy, MultiExitNetwork, MultiExitPlan};
 use bnn_nn::layer::Mode;
 use bnn_nn::network::Network;
 use bnn_tensor::exec::{in_parallel_region, Executor};
@@ -178,125 +178,80 @@ impl McSampler {
         }
         if inputs.dims().len() >= 2 {
             if let Ok(plan) = network.cached_plan(&inputs.dims()[1..]) {
-                return self.predict_planned(plan, inputs, n_exits);
+                // Plan clones serve the other workers, the cached plan the
+                // last one.
+                return self.predict_on(plan, inputs, n_exits, |plan, workers| {
+                    Ok(vec![plan.clone(); workers - 1])
+                });
             }
         }
         self.predict_layered(network, inputs, n_exits)
     }
 
-    /// The planned prediction path: one compiled plan, arenas reused across
-    /// passes, plan clones as worker replicas. Borrows the network's cached
-    /// plan so nothing recompiles on a repeat prediction.
-    fn predict_planned(
-        &self,
-        plan: &mut bnn_models::MultiExitPlan,
-        inputs: &Tensor,
-        n_exits: usize,
-    ) -> Result<McPrediction, BayesError> {
-        let passes = self.config.passes_for(n_exits).max(1);
-        let activations = plan.forward_backbone(inputs, Mode::Eval)?;
-        let pass_seeds: Vec<u64> = (0..passes)
-            .map(|p| stream_seed(self.config.seed, p as u64))
-            .collect();
-
-        let pass_exits: Vec<Vec<Tensor>> =
-            if self.executor.threads() > 1 && passes > 1 && !in_parallel_region() {
-                // One plan clone per *worker*, not per pass; worker w runs
-                // passes w, w+W, … and each pass reseeds from its own
-                // stream, so the assignment does not affect the result. The
-                // cached plan itself serves the last worker, so only
-                // `workers - 1` clones are materialised.
-                let workers = self.executor.threads().min(passes);
-                let mut clones: Vec<bnn_models::MultiExitPlan> = Vec::with_capacity(workers - 1);
-                for _ in 0..workers - 1 {
-                    clones.push(plan.clone());
-                }
-                let mut replicas: Vec<&mut bnn_models::MultiExitPlan> = clones.iter_mut().collect();
-                replicas.push(plan);
-                let per_worker: Vec<Vec<Vec<Tensor>>> = self
-                    .executor
-                    .par_map_mut(&mut replicas, |w, replica| {
-                        pass_seeds[w..]
-                            .iter()
-                            .step_by(workers)
-                            .map(|&seed| {
-                                replica.reseed_mc_streams(seed);
-                                replica.forward_exits_from_activations(&activations, Mode::McSample)
-                            })
-                            .collect::<Result<Vec<Vec<Tensor>>, _>>()
-                    })
-                    .into_iter()
-                    .collect::<Result<_, _>>()?;
-                let mut per_worker = per_worker;
-                (0..passes)
-                    .map(|p| std::mem::take(&mut per_worker[p % workers][p / workers]))
-                    .collect()
-            } else {
-                let mut collected = Vec::with_capacity(passes);
-                for &seed in &pass_seeds {
-                    plan.reseed_mc_streams(seed);
-                    collected
-                        .push(plan.forward_exits_from_activations(&activations, Mode::McSample)?);
-                }
-                collected
-            };
-        self.finish_prediction(pass_exits, passes, n_exits)
-    }
-
-    /// The unplanned prediction path: the layer chain with per-worker model
-    /// replicas (networks with batch normalisation or residual blocks).
+    /// The unplanned prediction path: the layer chain (networks with batch
+    /// normalisation or residual blocks). Exit passes cache activations in
+    /// the model, so every worker gets its own replica (`replicate_n`
+    /// serialises the checkpoint once).
     fn predict_layered(
         &self,
         network: &mut MultiExitNetwork,
         inputs: &Tensor,
         n_exits: usize,
     ) -> Result<McPrediction, BayesError> {
+        self.predict_on(network, inputs, n_exits, |network, workers| {
+            network
+                .replicate_n(workers)
+                .map_err(|e| BayesError::Invalid(e.to_string()))
+        })
+    }
+
+    /// Multi-exit MCD prediction on `primary`, the compiled plan or the
+    /// layer chain: the backbone runs once, then the exit passes, each
+    /// reseeding from its own `stream_seed(seed, pass)` stream.
+    /// Sequentially they all run on `primary`; fanned out, worker `w` runs
+    /// passes `w, w + W, …` on one replica per worker — the replicas
+    /// `replicate(primary, W)` returns, with `primary` taking the last
+    /// worker when it returns fewer than `W`. Each pass reseeds, so the
+    /// assignment does not affect the result.
+    fn predict_on<R: PassReplica>(
+        &self,
+        primary: &mut R,
+        inputs: &Tensor,
+        n_exits: usize,
+        replicate: impl FnOnce(&mut R, usize) -> Result<Vec<R>, BayesError>,
+    ) -> Result<McPrediction, BayesError> {
         let passes = self.config.passes_for(n_exits).max(1);
-        let activations = network.forward_backbone(inputs, Mode::Eval)?;
+        let activations = primary.backbone(inputs)?;
         let pass_seeds: Vec<u64> = (0..passes)
             .map(|p| stream_seed(self.config.seed, p as u64))
             .collect();
-
-        let pass_exits: Vec<Vec<Tensor>> =
-            if self.executor.threads() > 1 && passes > 1 && !in_parallel_region() {
-                // Exit forward passes cache activations in &mut self, so
-                // concurrent passes need separate instances — but only one
-                // replica per *worker*, not per pass (replicate_n serialises
-                // the checkpoint once). Worker w runs passes w, w+W, …; each
-                // pass reseeds from its own stream, so the assignment does
-                // not affect the result.
-                let workers = self.executor.threads().min(passes);
-                let mut replicas = network
-                    .replicate_n(workers)
-                    .map_err(|e| BayesError::Invalid(e.to_string()))?;
-                let per_worker: Vec<Vec<Vec<Tensor>>> = self
-                    .executor
-                    .par_map_mut(&mut replicas, |w, replica| {
-                        pass_seeds[w..]
-                            .iter()
-                            .step_by(workers)
-                            .map(|&seed| {
-                                replica.reseed_mc_streams(seed);
-                                replica.forward_exits_from_activations(&activations, Mode::McSample)
-                            })
-                            .collect::<Result<Vec<Vec<Tensor>>, _>>()
-                    })
-                    .into_iter()
-                    .collect::<Result<_, _>>()?;
-                let mut per_worker = per_worker;
-                (0..passes)
-                    .map(|p| std::mem::take(&mut per_worker[p % workers][p / workers]))
-                    .collect()
-            } else {
-                let mut collected = Vec::with_capacity(passes);
-                for &seed in &pass_seeds {
-                    network.reseed_mc_streams(seed);
-                    collected.push(
-                        network.forward_exits_from_activations(&activations, Mode::McSample)?,
-                    );
-                }
-                collected
-            };
+        let pass_exits = if self.executor.threads() > 1 && passes > 1 && !in_parallel_region() {
+            let workers = self.executor.threads().min(passes);
+            let mut owned = replicate(primary, workers)?;
+            let mut replicas: Vec<&mut R> = owned.iter_mut().collect();
+            if replicas.len() < workers {
+                replicas.push(primary);
+            }
+            let mut per_worker: Vec<Vec<Vec<Tensor>>> = self
+                .executor
+                .par_map_mut(&mut replicas, |w, replica| {
+                    pass_seeds[w..]
+                        .iter()
+                        .step_by(workers)
+                        .map(|&seed| replica.run_pass(seed, &activations))
+                        .collect::<Result<Vec<_>, _>>()
+                })
+                .into_iter()
+                .collect::<Result<_, _>>()?;
+            (0..passes)
+                .map(|p| std::mem::take(&mut per_worker[p % workers][p / workers]))
+                .collect()
+        } else {
+            pass_seeds
+                .iter()
+                .map(|&seed| primary.run_pass(seed, &activations))
+                .collect::<Result<_, _>>()?
+        };
         self.finish_prediction(pass_exits, passes, n_exits)
     }
 
@@ -519,6 +474,39 @@ impl McSampler {
             exit_taken,
             mean_flops_fraction: flops_sum / batch.max(1) as f64,
         })
+    }
+}
+
+/// A model the exit passes of [`McSampler::predict`] run on: the compiled
+/// plan or the layer chain.
+trait PassReplica: Send {
+    /// Runs the backbone in [`Mode::Eval`], returning every block's output.
+    fn backbone(&mut self, inputs: &Tensor) -> Result<Vec<Tensor>, BayesError>;
+
+    /// Reseeds every MC-dropout stream from `seed` and runs the exits in
+    /// [`Mode::McSample`] on the backbone `activations`.
+    fn run_pass(&mut self, seed: u64, activations: &[Tensor]) -> Result<Vec<Tensor>, BayesError>;
+}
+
+impl PassReplica for MultiExitPlan {
+    fn backbone(&mut self, inputs: &Tensor) -> Result<Vec<Tensor>, BayesError> {
+        Ok(self.forward_backbone(inputs, Mode::Eval)?)
+    }
+
+    fn run_pass(&mut self, seed: u64, activations: &[Tensor]) -> Result<Vec<Tensor>, BayesError> {
+        self.reseed_mc_streams(seed);
+        Ok(self.forward_exits_from_activations(activations, Mode::McSample)?)
+    }
+}
+
+impl PassReplica for MultiExitNetwork {
+    fn backbone(&mut self, inputs: &Tensor) -> Result<Vec<Tensor>, BayesError> {
+        Ok(self.forward_backbone(inputs, Mode::Eval)?)
+    }
+
+    fn run_pass(&mut self, seed: u64, activations: &[Tensor]) -> Result<Vec<Tensor>, BayesError> {
+        self.reseed_mc_streams(seed);
+        Ok(self.forward_exits_from_activations(activations, Mode::McSample)?)
     }
 }
 

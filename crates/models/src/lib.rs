@@ -35,6 +35,7 @@
 
 pub mod config;
 pub mod error;
+pub mod mc;
 pub mod multi_exit;
 pub mod plan;
 pub mod policy;

@@ -7,18 +7,21 @@
 //! sampler can run its backbone-once/exits-many Monte-Carlo loop on a plan —
 //! reusing each plan's arena across passes instead of allocating per-layer
 //! activations and rebuilding model replicas — without changing a single
-//! output bit. Networks with non-plannable layers (batch normalisation,
-//! residual blocks) fail compilation and callers fall back to the layer
-//! chain.
+//! output bit. The seeded fixed-depth and adaptive entry points run the
+//! shared exit-major driver ([`crate::mc`]) with the plan as its backend:
+//! every block's output stays in that block's arena, and adaptive
+//! compaction moves surviving rows in place there. Networks with
+//! non-plannable layers (batch normalisation, residual blocks) fail
+//! compilation and callers fall back to the layer chain.
 
 use crate::error::ModelError;
+use crate::mc::{self, McBackend, McLayout, McScratch};
 use crate::multi_exit::MultiExitNetwork;
 use crate::policy::{AdaptivePrediction, AdaptiveStats, ExitPolicy};
 use bnn_nn::layer::Mode;
 use bnn_nn::network::Network;
 use bnn_nn::{InferencePlan, Layer};
-use bnn_tensor::ops::softmax_rows_into;
-use bnn_tensor::rng::{stream_seed, SplitMix64};
+use bnn_tensor::rng::SplitMix64;
 use bnn_tensor::Tensor;
 
 /// Compiled plans of every backbone block and exit branch of a multi-exit
@@ -31,8 +34,9 @@ use bnn_tensor::Tensor;
 pub struct MultiExitPlan {
     blocks: Vec<InferencePlan>,
     exits: Vec<(usize, InferencePlan)>,
-    classes: usize,
     in_dims: Vec<usize>,
+    layout: McLayout,
+    mc: McScratch,
 }
 
 /// A compiled plan memoised on its network, keyed by the weight version and
@@ -68,11 +72,18 @@ impl MultiExitNetwork {
             let plan = InferencePlan::compile(branch as &dyn Layer, &block_dims[*after_block])?;
             exits.push((*after_block, plan));
         }
+        let cost = |plan: &InferencePlan| (plan.num_steps() as u64, plan.unit_ops());
+        let layout = McLayout {
+            classes: self.num_classes(),
+            blocks: blocks.iter().map(cost).collect(),
+            exits: exits.iter().map(|(b, plan)| (*b, cost(plan))).collect(),
+        };
         Ok(MultiExitPlan {
             blocks,
             exits,
-            classes: self.num_classes(),
             in_dims: in_dims.to_vec(),
+            layout,
+            mc: McScratch::default(),
         })
     }
 
@@ -119,13 +130,40 @@ impl MultiExitPlan {
 
     /// Number of predicted classes.
     pub fn num_classes(&self) -> usize {
-        self.classes
+        self.layout.classes
     }
 
     /// Per-sample input dims the plan was compiled for (batch axis
     /// stripped): inputs must be shaped `[batch, ..in_dims]`.
     pub fn in_dims(&self) -> &[usize] {
         &self.in_dims
+    }
+
+    /// Checks the input shape, returning the batch size.
+    fn check_input(&self, inputs: &Tensor) -> Result<usize, ModelError> {
+        if inputs.dims().len() != self.in_dims.len() + 1 || inputs.dims()[1..] != self.in_dims[..] {
+            return Err(ModelError::InvalidInput(format!(
+                "plan expects input dims [batch, {:?}], got {:?}",
+                self.in_dims,
+                inputs.dims()
+            )));
+        }
+        if inputs.dims()[0] == 0 {
+            return Err(ModelError::InvalidInput("empty input batch".into()));
+        }
+        Ok(inputs.dims()[0])
+    }
+
+    /// The plan as the MC driver's backend over the rows of `inputs`, and
+    /// the driver's scratch.
+    fn backend<'a>(&'a mut self, inputs: &'a Tensor) -> (FloatBackend<'a>, &'a mut McScratch) {
+        let backend = FloatBackend {
+            blocks: &mut self.blocks,
+            exits: &mut self.exits,
+            layout: &self.layout,
+            input: inputs.as_slice(),
+        };
+        (backend, &mut self.mc)
     }
 
     /// Pre-sizes every block and exit arena for `max_batch` samples, so a
@@ -138,6 +176,7 @@ impl MultiExitPlan {
         for (_, exit) in &mut self.exits {
             exit.ensure_batch(max_batch);
         }
+        self.mc.ensure(max_batch.max(1), self.layout.classes);
     }
 
     /// Reseeds every MC-dropout stream from `master_seed`, walking blocks
@@ -145,13 +184,7 @@ impl MultiExitPlan {
     /// [`Network::reseed_mc_streams`] on the network this plan was compiled
     /// from.
     pub fn reseed_mc_streams(&mut self, master_seed: u64) {
-        let mut streams = SplitMix64::new(master_seed);
-        for block in &mut self.blocks {
-            block.reseed_mc(&mut streams);
-        }
-        for (_, exit) in &mut self.exits {
-            exit.reseed_mc(&mut streams);
-        }
+        reseed_streams(&mut self.blocks, &mut self.exits, master_seed);
     }
 
     /// Runs the backbone, returning the activation after every block —
@@ -209,7 +242,7 @@ impl MultiExitPlan {
     /// once in [`Mode::Eval`], each pass reseeds the mask streams from
     /// `stream_seed(seed, pass)` and re-runs the exits with per-sample
     /// dropout masks broadcast across the batch
-    /// ([`InferencePlan::forward_shared_mask`]), and the first `n_samples`
+    /// ([`InferencePlan::run`] with `shared_mask`), and the first `n_samples`
     /// per-sample softmax tensors are averaged into `out`
     /// (`[batch, classes]`, resized). Because the masks are per-sample, every
     /// row of the result is bit-exact with a single-sample call at the same
@@ -227,58 +260,12 @@ impl MultiExitPlan {
         seed: u64,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize), ModelError> {
-        let n_exits = self.exits.len();
-        if n_exits == 0 {
-            return Err(ModelError::InvalidSpec("plan has no exits".into()));
-        }
-        if inputs.dims().len() != self.in_dims.len() + 1 || inputs.dims()[1..] != self.in_dims[..] {
-            return Err(ModelError::InvalidInput(format!(
-                "plan expects input dims [batch, {:?}], got {:?}",
-                self.in_dims,
-                inputs.dims()
-            )));
-        }
-        if inputs.dims()[0] == 0 {
-            return Err(ModelError::InvalidInput("empty input batch".into()));
-        }
-        let batch = inputs.dims()[0];
-        let activations = self.forward_backbone(inputs, Mode::Eval)?;
-        let passes = n_samples.div_ceil(n_exits).max(1);
-        let kept = if n_samples == 0 {
-            passes * n_exits
-        } else {
-            n_samples.min(passes * n_exits)
-        };
-        let elems = batch * self.classes;
-        if out.len() != elems {
-            out.clear();
-            out.resize(elems, 0.0);
-        } else {
-            out.fill(0.0);
-        }
-        let mut probs = vec![0.0f32; elems];
-        let mut sample = 0usize;
-        'passes: for pass in 0..passes {
-            self.reseed_mc_streams(stream_seed(seed, pass as u64));
-            for e in 0..n_exits {
-                if sample >= kept {
-                    break 'passes;
-                }
-                let (after_block, branch) = &mut self.exits[e];
-                let logits =
-                    branch.forward_shared_mask(&activations[*after_block], Mode::McSample)?;
-                softmax_rows_into(logits.as_slice(), batch, self.classes, &mut probs)?;
-                for (o, &p) in out.iter_mut().zip(&probs) {
-                    *o += p;
-                }
-                sample += 1;
-            }
-        }
-        let inv = 1.0 / kept as f32;
-        for o in out.iter_mut() {
-            *o *= inv;
-        }
-        Ok((batch, self.classes))
+        self.layout.check_fixed().map_err(ModelError::InvalidSpec)?;
+        let batch = self.check_input(inputs)?;
+        out.resize(batch * self.layout.classes, 0.0);
+        let (mut backend, mc) = self.backend(inputs);
+        mc::predict_fixed(&mut backend, mc, n_samples, seed, out)?;
+        Ok((batch, self.layout.classes))
     }
 
     /// [`MultiExitPlan::predict_probs_batch_into`] returning a fresh tensor.
@@ -304,29 +291,7 @@ impl MultiExitPlan {
     /// whole batch). This is the `ops_fixed` baseline the adaptive path
     /// reports its savings against.
     pub fn fixed_cost(&self, batch: usize, n_samples: usize) -> (u64, u64) {
-        let n_exits = self.exits.len().max(1);
-        let passes = n_samples.div_ceil(n_exits).max(1);
-        let kept = if n_samples == 0 {
-            passes * n_exits
-        } else {
-            n_samples.min(passes * n_exits)
-        };
-        let mut steps = 0u64;
-        let mut unit_ops = 0u64;
-        for block in &self.blocks {
-            steps += block.num_steps() as u64;
-            unit_ops += block.unit_ops();
-        }
-        for (e, (_, branch)) in self.exits.iter().enumerate() {
-            let runs = if e < kept {
-                ((kept - e - 1) / n_exits + 1) as u64
-            } else {
-                0
-            };
-            steps += runs * branch.num_steps() as u64;
-            unit_ops += runs * branch.unit_ops();
-        }
-        (steps, unit_ops * batch as u64)
+        self.layout.fixed_cost(batch, n_samples)
     }
 
     /// Policy-driven adaptive batched prediction: the step list is executed
@@ -373,157 +338,21 @@ impl MultiExitPlan {
         exit_taken: &mut Vec<usize>,
     ) -> Result<AdaptiveStats, ModelError> {
         policy.validate().map_err(ModelError::InvalidInput)?;
-        let n_exits = self.exits.len();
-        if n_exits == 0 {
-            return Err(ModelError::InvalidSpec("plan has no exits".into()));
-        }
-        if self.exits.windows(2).any(|w| w[0].0 > w[1].0) {
-            return Err(ModelError::InvalidSpec(
-                "adaptive execution requires exits in ascending block order".into(),
-            ));
-        }
-        if inputs.dims().len() != self.in_dims.len() + 1 || inputs.dims()[1..] != self.in_dims[..] {
-            return Err(ModelError::InvalidInput(format!(
-                "plan expects input dims [batch, {:?}], got {:?}",
-                self.in_dims,
-                inputs.dims()
-            )));
-        }
-        let batch = inputs.dims()[0];
-        if batch == 0 {
-            return Err(ModelError::InvalidInput("empty input batch".into()));
-        }
-        let spe = if n_samples == 0 {
-            1
-        } else {
-            n_samples.div_ceil(n_exits)
-        };
-        let (fixed_steps, fixed_ops) = self.fixed_cost(batch, n_samples);
-
-        // `Never` with MC samples is exactly the fixed-depth path; delegate
-        // so the accumulation order (pass-major) — and therefore every f32
-        // bit — matches `predict_probs_batch_into`. The deterministic
-        // `n_samples == 0` variant consults each exit once in Eval mode,
-        // which the generic loop below expresses directly.
-        if policy.is_never() && n_samples > 0 {
-            self.predict_probs_batch_into(inputs, n_samples, seed, out)?;
-            exit_taken.clear();
-            exit_taken.resize(batch, n_exits - 1);
-            return Ok(AdaptiveStats {
-                batch,
-                classes: self.classes,
-                samples_per_exit: spe,
-                steps_executed: fixed_steps,
-                ops_executed: fixed_ops,
-                ops_fixed: fixed_ops,
-            });
-        }
-
-        let mode = if n_samples == 0 {
-            Mode::Eval
-        } else {
-            Mode::McSample
-        };
-        let classes = self.classes;
-        let elems = batch * classes;
-        out.clear();
-        out.resize(elems, 0.0);
-        exit_taken.clear();
-        exit_taken.resize(batch, 0);
-
-        // Live-row state: rows 0..live of `acc` (and of the frontier
-        // activation `cur`) belong to original samples `live_idx[0..live]`.
-        let mut acc = vec![0.0f32; elems];
-        let mut probs = vec![0.0f32; elems];
-        let mut live_idx: Vec<usize> = (0..batch).collect();
-        let mut live = batch;
-        let mut cur: Option<Tensor> = None;
-        let mut next_block = 0usize;
-        let mut steps_executed = 0u64;
-        let mut ops_executed = 0u64;
-
-        for e in 0..n_exits {
-            let target_block = self.exits[e].0;
-            while next_block <= target_block {
-                let block = &mut self.blocks[next_block];
-                let src = cur.as_ref().unwrap_or(inputs);
-                let next = block.forward(src, Mode::Eval)?;
-                steps_executed += block.num_steps() as u64;
-                ops_executed += block.unit_ops() * live as u64;
-                cur = Some(next);
-                next_block += 1;
-            }
-            for p in 0..spe {
-                if matches!(mode, Mode::McSample) {
-                    // Reseeding assigns every stream from the master seed, so
-                    // running only exit `e` afterwards draws the identical
-                    // masks the fixed path draws for this exit on pass `p`.
-                    self.reseed_mc_streams(stream_seed(seed, p as u64));
-                }
-                let act = cur.as_ref().expect("exits attach after at least one block");
-                let (_, branch) = &mut self.exits[e];
-                let logits = branch.forward_shared_mask(act, mode)?;
-                steps_executed += branch.num_steps() as u64;
-                ops_executed += branch.unit_ops() * live as u64;
-                let n = live * classes;
-                softmax_rows_into(logits.as_slice(), live, classes, &mut probs[..n])?;
-                for (a, &p) in acc[..n].iter_mut().zip(&probs[..n]) {
-                    *a += p;
-                }
-            }
-            let consulted = ((e + 1) * spe) as f32;
-            let last = e + 1 == n_exits;
-
-            // Retire-or-compact pass: retired rows scatter their ensemble
-            // mean to their original output slot; survivors slide forward in
-            // `acc`/`live_idx` and their frontier activation rows are
-            // gathered into a dense batch.
-            let act = cur.as_ref().expect("exits attach after at least one block");
-            let act_slice = act.as_slice();
-            let unit: usize = act.dims()[1..].iter().product();
-            let mut gathered: Vec<f32> = Vec::new();
-            let mut keep = 0usize;
-            for r in 0..live {
-                let start = r * classes;
-                let retire = last || policy.retires(&acc[start..start + classes], consulted);
-                if retire {
-                    let orig = live_idx[r];
-                    for c in 0..classes {
-                        out[orig * classes + c] = acc[start + c] / consulted;
-                    }
-                    exit_taken[orig] = e;
-                } else {
-                    if !last {
-                        gathered.extend_from_slice(&act_slice[r * unit..(r + 1) * unit]);
-                    }
-                    if keep != r {
-                        acc.copy_within(start..start + classes, keep * classes);
-                        live_idx[keep] = live_idx[r];
-                    }
-                    keep += 1;
-                }
-            }
-            if keep == 0 {
-                live = 0;
-                break;
-            }
-            if keep < live {
-                let mut dims = act.dims().to_vec();
-                dims[0] = keep;
-                cur = Some(Tensor::from_vec(gathered, &dims)?);
-            }
-            live = keep;
-        }
-        debug_assert_eq!(live, 0, "every sample retires by the last exit");
-
-        Ok(AdaptiveStats {
+        self.layout
+            .check_adaptive()
+            .map_err(ModelError::InvalidSpec)?;
+        let batch = self.check_input(inputs)?;
+        let (mut backend, mc) = self.backend(inputs);
+        mc::predict_adaptive(
+            &mut backend,
+            mc,
             batch,
-            classes,
-            samples_per_exit: spe,
-            steps_executed,
-            ops_executed,
-            ops_fixed: fixed_ops,
-        })
+            n_samples,
+            seed,
+            policy,
+            out,
+            exit_taken,
+        )
     }
 
     /// [`MultiExitPlan::predict_adaptive_batch_into`] returning owned
@@ -554,6 +383,64 @@ impl MultiExitPlan {
             exit_taken,
             stats,
         })
+    }
+}
+
+/// Reseeds every MC-dropout stream from `master_seed`, walking blocks then
+/// exits.
+fn reseed_streams(
+    blocks: &mut [InferencePlan],
+    exits: &mut [(usize, InferencePlan)],
+    master_seed: u64,
+) {
+    let mut streams = SplitMix64::new(master_seed);
+    for block in blocks {
+        block.reseed_mc(&mut streams);
+    }
+    for (_, exit) in exits {
+        exit.reseed_mc(&mut streams);
+    }
+}
+
+/// A [`MultiExitPlan`] as the MC driver's backend. Each block reads the
+/// previous block's output rows from that block's arena (block 0 reads
+/// `input`); exits read their attachment block's; MC masks are per sample
+/// and broadcast across the batch.
+struct FloatBackend<'a> {
+    blocks: &'a mut [InferencePlan],
+    exits: &'a mut [(usize, InferencePlan)],
+    layout: &'a McLayout,
+    input: &'a [f32],
+}
+
+impl McBackend for FloatBackend<'_> {
+    type Error = ModelError;
+
+    fn layout(&self) -> &McLayout {
+        self.layout
+    }
+
+    fn run_block(&mut self, block: usize, live: usize) -> Result<(), ModelError> {
+        let (done, rest) = self.blocks.split_at_mut(block);
+        let input = done.last().map_or(self.input, |prev| prev.output(live));
+        rest[0].run(input, live, Mode::Eval, false)?;
+        Ok(())
+    }
+
+    fn reseed(&mut self, master_seed: u64) {
+        reseed_streams(self.blocks, self.exits, master_seed);
+    }
+
+    fn run_exit(&mut self, exit: usize, live: usize, mode: Mode) -> Result<&[f32], ModelError> {
+        let (block, plan) = &mut self.exits[exit];
+        Ok(plan.run(self.blocks[*block].output(live), live, mode, true)?)
+    }
+
+    fn keep_row(&mut self, block: usize, from: usize, to: usize) {
+        let unit: usize = self.blocks[block].out_dims().iter().product();
+        self.blocks[block]
+            .output_mut(from + 1)
+            .copy_within(from * unit..(from + 1) * unit, to * unit);
     }
 }
 

@@ -11,8 +11,9 @@
 //! any survivor's arithmetic.
 //!
 //! Both compiled plan families (`bnn_quant::QuantPlan` and
-//! [`MultiExitPlan`](crate::MultiExitPlan)) and the `bnn-bayes` sampler
-//! fallback share these exact decision functions, so "the same policy"
+//! [`MultiExitPlan`](crate::MultiExitPlan)) apply the policy through the one
+//! exit-major driver in [`crate::mc`], and the `bnn-bayes` layer-chain
+//! reference applies the same [`ExitPolicy::retires`], so "the same policy"
 //! means the same bits everywhere.
 
 use bnn_tensor::Tensor;
@@ -102,7 +103,8 @@ impl ExitPolicy {
     ///
     /// Row-local and allocation-free by construction; every adaptive
     /// execution path calls exactly this function so the decision bits can
-    /// never diverge between the compiled plans and the sampler fallback.
+    /// never diverge between the plans' shared driver ([`crate::mc`]) and
+    /// the sampler's layer-chain path.
     pub fn retires(&self, acc_row: &[f32], denom: f32) -> bool {
         match self {
             ExitPolicy::Never => false,

@@ -365,31 +365,6 @@ impl InferencePlan {
     /// Returns [`NnError::InvalidConfig`] if the input shape does not match
     /// the compiled per-sample dims, or propagates kernel errors.
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
-        self.forward_impl(input, mode, false)
-    }
-
-    /// [`InferencePlan::forward`] with MC-dropout masks drawn at
-    /// **per-sample** granularity and broadcast across the batch: one
-    /// sample's worth of mask draws per step, applied to every sample. Every
-    /// other kernel already computes each output element from one sample
-    /// alone, so under shared masks a batched run is bit-exact with running
-    /// the samples one at a time — the batch-boundary invariance the serving
-    /// layer relies on. For `batch == 1` (and in [`Mode::Eval`] at any
-    /// batch) it is bit-exact with [`InferencePlan::forward`] itself.
-    ///
-    /// # Errors
-    ///
-    /// See [`InferencePlan::forward`].
-    pub fn forward_shared_mask(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
-        self.forward_impl(input, mode, true)
-    }
-
-    fn forward_impl(
-        &mut self,
-        input: &Tensor,
-        mode: Mode,
-        shared_mask: bool,
-    ) -> Result<Tensor, NnError> {
         if input.dims().len() != self.in_dims.len() + 1 || input.dims()[1..] != self.in_dims[..] {
             return Err(NnError::InvalidConfig(format!(
                 "plan expects input dims [batch, {:?}], got {:?}",
@@ -398,9 +373,49 @@ impl InferencePlan {
             )));
         }
         let batch = input.dims()[0];
+        let out = self.run(input.as_slice(), batch, mode, false)?.to_vec();
+        let mut dims = Vec::with_capacity(self.out_dims.len() + 1);
+        dims.push(batch);
+        dims.extend_from_slice(&self.out_dims);
+        Ok(Tensor::from_vec(out, &dims)?)
+    }
+
+    /// Runs the plan on `batch` packed per-sample input rows, returning the
+    /// `batch` output rows in the arena — the allocation-free core of
+    /// [`InferencePlan::forward`], which calls it with `shared_mask ==
+    /// false`. The rows stay readable through [`InferencePlan::output`]
+    /// until the next run.
+    ///
+    /// With `shared_mask`, MC-dropout masks are drawn at **per-sample**
+    /// granularity and broadcast across the batch: one sample's worth of
+    /// mask draws per step, applied to every sample. Every other kernel
+    /// already computes each output element from one sample alone, so under
+    /// shared masks a batched run is bit-exact with running the samples one
+    /// at a time — the batch-boundary invariance the serving layer relies
+    /// on. For `batch == 1` (and in [`Mode::Eval`] at any batch) both mask
+    /// modes give the same result.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidConfig`] if `input` does not hold `batch`
+    /// samples, or propagates kernel errors.
+    pub fn run(
+        &mut self,
+        input: &[f32],
+        batch: usize,
+        mode: Mode,
+        shared_mask: bool,
+    ) -> Result<&[f32], NnError> {
+        let in_elems = self.in_dims.iter().product::<usize>() * batch;
+        if input.len() != in_elems {
+            return Err(NnError::InvalidConfig(format!(
+                "plan expects {batch} input rows of dims {:?}, got {} elements",
+                self.in_dims,
+                input.len()
+            )));
+        }
         self.ensure(batch);
-        let in_elems = input.len();
-        self.slots[self.input_slot][..in_elems].copy_from_slice(input.as_slice());
+        self.slots[self.input_slot][..in_elems].copy_from_slice(input);
         for step in &mut self.steps {
             run_step(
                 step,
@@ -411,14 +426,19 @@ impl InferencePlan {
                 shared_mask,
             )?;
         }
-        let out_elems: usize = self.out_dims.iter().product::<usize>() * batch;
-        let mut dims = Vec::with_capacity(self.out_dims.len() + 1);
-        dims.push(batch);
-        dims.extend_from_slice(&self.out_dims);
-        Ok(Tensor::from_vec(
-            self.slots[self.out_slot][..out_elems].to_vec(),
-            &dims,
-        )?)
+        Ok(self.output(batch))
+    }
+
+    /// The first `batch` output rows of the last run.
+    pub fn output(&self, batch: usize) -> &[f32] {
+        &self.slots[self.out_slot][..self.out_dims.iter().product::<usize>() * batch]
+    }
+
+    /// [`InferencePlan::output`], writable: callers may reorder rows in
+    /// place (adaptive execution compacts surviving rows this way).
+    pub fn output_mut(&mut self, batch: usize) -> &mut [f32] {
+        let elems = self.out_dims.iter().product::<usize>() * batch;
+        &mut self.slots[self.out_slot][..elems]
     }
 }
 

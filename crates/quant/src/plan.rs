@@ -27,6 +27,18 @@
 //! [`MUL_FRAC`]-fractional-bit multipliers. MC-dropout masks are drawn in
 //! the integer domain from per-pass `stream_seed` streams.
 //!
+//! # Monte-Carlo schedule
+//!
+//! The plan executes steps; it does not schedule passes. Every seeded entry
+//! point runs the exit-major driver shared with the float plan
+//! ([`bnn_models::mc`]): pass count, per-pass reseeding, the kept-sample
+//! cutoff, softmax averaging, the adaptive retire-or-compact loop and the
+//! fixed-cost accounting live there. One row shard of the plan is the
+//! driver's backend: a block is the backbone segment between two block
+//! boundaries, an exit run dequantizes its codes into the arena's logit
+//! staging, and compacting a surviving row moves it within the block's
+//! pinned boundary slot.
+//!
 //! Two independent implementations check the plan. `bnn_hls::HlsSimulator`
 //! interprets the plan's exported [`PlanSchedule`] and is bit-exact with it
 //! (`tests/hls_golden_sim.rs`): that checks execution. The fake-quant float
@@ -72,6 +84,7 @@ use crate::error::QuantError;
 use crate::fixed::FixedPointFormat;
 use crate::params::{IntWidth, QuantParams};
 use crate::schedule::{PlanSchedule, ScheduleExit, ScheduleOp, ScheduleStep, MUL_FRAC};
+use bnn_models::mc::{self, McBackend, McLayout, McScratch};
 use bnn_models::{AdaptivePrediction, AdaptiveStats, ExitPolicy};
 use bnn_nn::layer::Mode;
 use bnn_nn::lowering::LayerLowering;
@@ -82,8 +95,7 @@ use bnn_tensor::int::{
     requantize_i64_row_into,
 };
 use bnn_tensor::linalg::ConvGeometry;
-use bnn_tensor::ops::softmax_rows_into;
-use bnn_tensor::rng::{stream_seed, Rng, SplitMix64, Xoshiro256StarStar};
+use bnn_tensor::rng::{Rng, SplitMix64, Xoshiro256StarStar};
 use bnn_tensor::Tensor;
 
 /// A packed convolution: weights flattened to `[out_c, in_c*k*k]` `i16` once
@@ -221,7 +233,7 @@ enum MaskGranularity {
 /// The preallocated tensor arena: activation slots, the shared scratch
 /// buffers and the MC-dropout mask streams. All sizes grow monotonically
 /// with the largest batch seen, so the steady state of repeated same-batch
-/// calls never reallocates. A row shard owns one arena.
+/// calls never reallocates.
 #[derive(Debug, Clone, Default)]
 struct Arena {
     /// One mask stream per MC-dropout step, in flat step order (backbone,
@@ -232,13 +244,15 @@ struct Arena {
     acc32: Vec<i32>,
     acc64: Vec<i64>,
     mask: Vec<bool>,
+    /// Dequantized exit logits handed to the MC driver.
     logits: Vec<f32>,
-    probs: Vec<f32>,
-    /// Adaptive execution: running per-sample softmax ensembles
-    /// (`[batch, classes]`, live rows packed at the front).
-    acc: Vec<f32>,
-    /// Adaptive execution: original sample index of each live row.
-    live_idx: Vec<usize>,
+}
+
+/// One row shard's buffers: its arena and the MC driver's scratch.
+#[derive(Debug, Clone, Default)]
+struct Shard {
+    arena: Arena,
+    mc: McScratch,
 }
 
 impl Arena {
@@ -287,7 +301,6 @@ impl Arena {
 pub struct QuantPlan {
     format: FixedPointFormat,
     width: IntWidth,
-    classes: usize,
     in_params: QuantParams,
     in_dims: Vec<usize>,
     input_slot: usize,
@@ -312,8 +325,11 @@ pub struct QuantPlan {
     logit_unit: usize,
     /// Number of MC-dropout steps (mask streams per arena).
     n_streams: usize,
-    /// One arena per row shard; the inline entry points use the first.
-    arenas: Vec<Arena>,
+    /// Classes, block and exit costs as the MC driver sees them.
+    layout: McLayout,
+    /// One arena and MC scratch per row shard; the inline entry points use
+    /// the first.
+    shards: Vec<Shard>,
     /// Row-shard executor; `None` resolves to [`Executor::global`] per call.
     exec: Option<Executor>,
 }
@@ -826,10 +842,22 @@ impl QuantPlan {
             .map(|&v| builder.values[v].dims.iter().product())
             .collect();
 
+        let cost = |steps: &[Step]| (steps.len() as u64, steps.iter().map(|s| s.ops).sum());
+        let block_starts = std::iter::once(0).chain(block_bounds.iter().copied());
+        let layout = McLayout {
+            classes: calibrated.classes,
+            blocks: block_starts
+                .zip(&block_bounds)
+                .map(|(start, &end)| cost(&backbone[start..end]))
+                .collect(),
+            exits: exits
+                .iter()
+                .map(|e| (e.after_block, cost(&e.steps)))
+                .collect(),
+        };
         let mut plan = QuantPlan {
             format,
             width: in_params.width(),
-            classes: calibrated.classes,
             in_params,
             in_dims: calibrated.in_dims.clone(),
             input_slot: slot_of[input_value],
@@ -844,10 +872,11 @@ impl QuantPlan {
             mask_unit: builder.mask_unit,
             logit_unit,
             n_streams: builder.n_streams,
-            arenas: Vec::new(),
+            layout,
+            shards: Vec::new(),
             exec: None,
         };
-        plan.ensure_arenas(1, 0);
+        plan.ensure_shards(1, 0);
         Ok(plan)
     }
 
@@ -863,7 +892,7 @@ impl QuantPlan {
 
     /// Number of predicted classes.
     pub fn num_classes(&self) -> usize {
-        self.classes
+        self.layout.classes
     }
 
     /// Per-sample input dims the plan was compiled for (batch axis
@@ -883,7 +912,7 @@ impl QuantPlan {
     pub fn ensure_batch(&mut self, max_batch: usize) {
         let batch = max_batch.max(1);
         let shards = self.row_shards(batch);
-        self.ensure_arenas(shards, batch.div_ceil(shards));
+        self.ensure_shards(shards, batch.div_ceil(shards));
     }
 
     /// Number of flattened steps (backbone plus all exits).
@@ -978,7 +1007,7 @@ impl QuantPlan {
 
         PlanSchedule {
             format: self.format,
-            classes: self.classes,
+            classes: self.layout.classes,
             in_params: self.in_params,
             in_dims: self.in_dims.clone(),
             input_slot: self.input_slot,
@@ -1013,8 +1042,8 @@ impl QuantPlan {
     /// Reseeds every MC-dropout stream from `master_seed`, walking the flat
     /// step list (backbone, then exits in attachment order).
     pub fn reseed_mc_streams(&mut self, master_seed: u64) {
-        for arena in &mut self.arenas {
-            arena.reseed(master_seed);
+        for shard in &mut self.shards {
+            shard.arena.reseed(master_seed);
         }
     }
 
@@ -1029,23 +1058,23 @@ impl QuantPlan {
         exec.threads().min(batch).max(1)
     }
 
-    /// Grows the first `count` arenas for `rows` samples each (monotone:
+    /// Grows the first `count` shards for `rows` samples each (monotone:
     /// repeated calls with the same or smaller sizes perform no
     /// allocation).
-    fn ensure_arenas(&mut self, count: usize, rows: usize) {
+    fn ensure_shards(&mut self, count: usize, rows: usize) {
         fn grow<T: Clone + Default>(v: &mut Vec<T>, need: usize) {
             if v.len() < need {
                 v.resize(need, T::default());
             }
         }
-        if self.arenas.len() < count {
-            self.arenas.resize_with(count, Arena::default);
+        if self.shards.len() < count {
+            self.shards.resize_with(count, Shard::default);
         }
         let (acc32, acc64) = match self.width {
             IntWidth::W8 => (self.acc_unit * rows, 0),
             IntWidth::W16 => (0, self.acc_unit * rows),
         };
-        for arena in &mut self.arenas[..count] {
+        for Shard { arena, mc } in &mut self.shards[..count] {
             if arena.streams.len() < self.n_streams {
                 let unseeded = Xoshiro256StarStar::seed_from_u64(0);
                 arena.streams.resize(self.n_streams, unseeded);
@@ -1059,26 +1088,24 @@ impl QuantPlan {
             grow(&mut arena.acc64, acc64);
             grow(&mut arena.mask, self.mask_unit * rows);
             grow(&mut arena.logits, self.logit_unit * rows);
-            grow(&mut arena.probs, self.logit_unit * rows);
-            grow(&mut arena.acc, self.classes * rows);
-            grow(&mut arena.live_idx, rows);
+            mc.ensure(rows, self.layout.classes);
         }
     }
 
-    /// Runs `f` on the plan and its first `count` arenas, grown for `rows`
-    /// samples each. The arenas are moved out for the call, so `f` can share
+    /// Runs `f` on the plan and its first `count` shards, grown for `rows`
+    /// samples each. The shards are moved out for the call, so `f` can share
     /// the plan's steps across shard threads while each shard mutates its
     /// own arena.
-    fn with_arenas<R>(
+    fn with_shards<R>(
         &mut self,
         count: usize,
         rows: usize,
-        f: impl FnOnce(&Self, &mut [Arena]) -> R,
+        f: impl FnOnce(&Self, &mut [Shard]) -> R,
     ) -> R {
-        self.ensure_arenas(count, rows);
-        let mut arenas = std::mem::take(&mut self.arenas);
-        let result = f(self, &mut arenas[..count]);
-        self.arenas = arenas;
+        self.ensure_shards(count, rows);
+        let mut shards = std::mem::take(&mut self.shards);
+        let result = f(self, &mut shards[..count]);
+        self.shards = shards;
         result
     }
 
@@ -1105,9 +1132,24 @@ impl QuantPlan {
         }
     }
 
-    /// Runs a step slice at `batch` live rows, returning
-    /// `(invocations, ops)` where ops is the static per-sample estimate
-    /// summed over the slice and scaled by the batch.
+    /// The plan as the MC driver's backend on one shard, with `inputs`
+    /// quantized into the shard's input slot, and the driver's scratch.
+    fn backend<'a>(
+        &'a self,
+        shard: &'a mut Shard,
+        inputs: &[f32],
+        masks: MaskGranularity,
+    ) -> (QuantBackend<'a>, &'a mut McScratch) {
+        self.load_input(&mut shard.arena, inputs);
+        let backend = QuantBackend {
+            plan: self,
+            arena: &mut shard.arena,
+            masks,
+        };
+        (backend, &mut shard.mc)
+    }
+
+    /// Runs a step slice at `batch` live rows.
     fn run_steps(
         steps: &[Step],
         arena: &mut Arena,
@@ -1115,14 +1157,11 @@ impl QuantPlan {
         batch: usize,
         mode: Mode,
         masks: MaskGranularity,
-    ) -> Result<(u64, u64), QuantError> {
-        let invocations = steps.len() as u64;
-        let mut ops = 0u64;
+    ) -> Result<(), QuantError> {
         for step in steps {
             run_step(step, arena, width, batch, mode, masks)?;
-            ops += step.ops * batch as u64;
         }
-        Ok((invocations, ops))
+        Ok(())
     }
 
     /// Runs the backbone deterministically and the exit branches in `mode`,
@@ -1139,39 +1178,19 @@ impl QuantPlan {
         mode: Mode,
     ) -> Result<Vec<Tensor>, QuantError> {
         let batch = self.check_input(inputs)?;
-        self.with_arenas(1, batch, |plan, arenas| {
-            let arena = &mut arenas[0];
-            plan.load_input(arena, inputs.as_slice());
-            Self::run_steps(
-                &plan.backbone,
-                arena,
-                plan.width,
-                batch,
-                Mode::Eval,
-                MaskGranularity::PerBatch,
-            )?;
-            let mut outputs = Vec::with_capacity(plan.exits.len());
-            for exit in &plan.exits {
-                Self::run_steps(
-                    &exit.steps,
-                    arena,
-                    plan.width,
-                    batch,
-                    mode,
-                    MaskGranularity::PerBatch,
-                )?;
-                let elems: usize = exit.out_dims.iter().product::<usize>() * batch;
-                let scale = exit.out_params.scale();
-                let data: Vec<f32> = arena.slots[exit.out_slot][..elems]
-                    .iter()
-                    .map(|&c| c as f32 * scale)
-                    .collect();
-                let mut dims = Vec::with_capacity(exit.out_dims.len() + 1);
-                dims.push(batch);
-                dims.extend_from_slice(&exit.out_dims);
-                outputs.push(Tensor::from_vec(data, &dims)?);
+        self.with_shards(1, batch, |plan, shards| {
+            let masks = MaskGranularity::PerBatch;
+            let (mut backend, _) = plan.backend(&mut shards[0], inputs.as_slice(), masks);
+            for block in 0..plan.block_bounds.len() {
+                backend.run_block(block, batch)?;
             }
-            Ok(outputs)
+            (0..plan.exits.len())
+                .map(|e| {
+                    let logits = backend.run_exit(e, batch, mode)?.to_vec();
+                    let dims = [&[batch][..], &plan.exits[e].out_dims].concat();
+                    Ok(Tensor::from_vec(logits, &dims)?)
+                })
+                .collect()
         })
     }
 
@@ -1191,8 +1210,9 @@ impl QuantPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::Internal`] for a plan without exits or an input
-    /// shape mismatch, or propagates execution errors.
+    /// Returns [`QuantError::Internal`] for a plan without exits,
+    /// [`QuantError::InvalidInput`] for an empty batch or an input shape
+    /// mismatch, or propagates execution errors.
     pub fn predict_probs_into(
         &mut self,
         inputs: &Tensor,
@@ -1258,9 +1278,7 @@ impl QuantPlan {
         out: &mut Vec<f32>,
         masks: MaskGranularity,
     ) -> Result<(usize, usize), QuantError> {
-        if self.exits.is_empty() {
-            return Err(QuantError::Internal("plan has no exits".into()));
-        }
+        self.layout.check_fixed().map_err(QuantError::Internal)?;
         let batch = self.check_input(inputs)?;
         // Per-batch masks depend on the whole batch, so only the per-sample
         // entry shards.
@@ -1272,86 +1290,28 @@ impl QuantPlan {
         // Uneven splits can leave a thread without a shard (5 rows on 4
         // threads run as 2 + 2 + 1).
         let shards = batch.div_ceil(rows);
-        let classes = self.classes;
+        let classes = self.layout.classes;
         out.resize(batch * classes, 0.0);
-        self.with_arenas(shards, rows, |plan, arenas| {
-            if let [arena] = arenas {
-                return plan.predict_rows(arena, inputs.as_slice(), n_samples, seed, masks, out);
+        self.with_shards(shards, rows, |plan, shards| {
+            let run = |shard: &mut Shard, x: &[f32], o: &mut [f32]| {
+                let (mut backend, mc) = plan.backend(shard, x, masks);
+                mc::predict_fixed(&mut backend, mc, n_samples, seed, o)
+            };
+            if let [shard] = shards {
+                return run(shard, inputs.as_slice(), out);
             }
             let exec = plan.exec.unwrap_or_else(Executor::global);
             let in_unit: usize = plan.in_dims.iter().product();
-            let mut work: Vec<_> = arenas
+            let mut work: Vec<_> = shards
                 .iter_mut()
                 .zip(inputs.as_slice().chunks(rows * in_unit))
                 .zip(out.chunks_mut(rows * classes))
                 .collect();
-            exec.par_map_mut(&mut work, |_, ((arena, x), o)| {
-                plan.predict_rows(arena, x, n_samples, seed, masks, o)
-            })
-            .into_iter()
-            .collect()
+            exec.par_map_mut(&mut work, |_, ((shard, x), o)| run(shard, x, o))
+                .into_iter()
+                .collect()
         })?;
         Ok((batch, classes))
-    }
-
-    /// The fixed-depth MC prediction of the input rows `inputs` on one
-    /// arena, averaged into `out` (`[rows, classes]`).
-    fn predict_rows(
-        &self,
-        arena: &mut Arena,
-        inputs: &[f32],
-        n_samples: usize,
-        seed: u64,
-        masks: MaskGranularity,
-        out: &mut [f32],
-    ) -> Result<(), QuantError> {
-        let rows = out.len() / self.classes;
-        self.load_input(arena, inputs);
-        Self::run_steps(&self.backbone, arena, self.width, rows, Mode::Eval, masks)?;
-        let n_exits = self.exits.len();
-        let passes = n_samples.div_ceil(n_exits).max(1);
-        let kept = if n_samples == 0 {
-            passes * n_exits
-        } else {
-            n_samples.min(passes * n_exits)
-        };
-        out.fill(0.0);
-        let mut sample = 0usize;
-        'passes: for pass in 0..passes {
-            arena.reseed(stream_seed(seed, pass as u64));
-            for exit in &self.exits {
-                if sample >= kept {
-                    // Every remaining sample would be truncated anyway;
-                    // skipping them is result-identical because exit streams
-                    // are independent.
-                    break 'passes;
-                }
-                Self::run_steps(&exit.steps, arena, self.width, rows, Mode::McSample, masks)?;
-                let n: usize = exit.out_dims.iter().product::<usize>() * rows;
-                let scale = exit.out_params.scale();
-                for (l, &c) in arena.logits[..n]
-                    .iter_mut()
-                    .zip(&arena.slots[exit.out_slot][..n])
-                {
-                    *l = c as f32 * scale;
-                }
-                softmax_rows_into(
-                    &arena.logits[..n],
-                    rows,
-                    self.classes,
-                    &mut arena.probs[..n],
-                )?;
-                for (o, &p) in out.iter_mut().zip(&arena.probs[..n]) {
-                    *o += p;
-                }
-                sample += 1;
-            }
-        }
-        let inv = 1.0 / kept as f32;
-        for o in out.iter_mut() {
-            *o *= inv;
-        }
-        Ok(())
     }
 
     /// [`QuantPlan::predict_probs_into`] returning a fresh tensor.
@@ -1376,25 +1336,7 @@ impl QuantPlan {
     /// with the batch but invocations do not. This is the `ops_fixed`
     /// baseline adaptive execution reports its savings against.
     pub fn fixed_cost(&self, batch: usize, n_samples: usize) -> (u64, u64) {
-        let n_exits = self.exits.len().max(1);
-        let passes = n_samples.div_ceil(n_exits).max(1);
-        let kept = if n_samples == 0 {
-            passes * n_exits
-        } else {
-            n_samples.min(passes * n_exits)
-        };
-        let mut steps = self.backbone.len() as u64;
-        let mut unit_ops: u64 = self.backbone.iter().map(|s| s.ops).sum();
-        for (e, exit) in self.exits.iter().enumerate() {
-            let runs = if e < kept {
-                ((kept - e - 1) / n_exits + 1) as u64
-            } else {
-                0
-            };
-            steps += runs * exit.steps.len() as u64;
-            unit_ops += runs * exit.steps.iter().map(|s| s.ops).sum::<u64>();
-        }
-        (steps, unit_ops * batch as u64)
+        self.layout.fixed_cost(batch, n_samples)
     }
 
     /// Policy-driven adaptive batched prediction on the integer path: the
@@ -1443,177 +1385,31 @@ impl QuantPlan {
         exit_taken: &mut Vec<usize>,
     ) -> Result<AdaptiveStats, QuantError> {
         policy.validate().map_err(QuantError::InvalidInput)?;
-        let n_exits = self.exits.len();
-        if n_exits == 0 {
-            return Err(QuantError::Internal("plan has no exits".into()));
-        }
-        if self
-            .exits
-            .windows(2)
-            .any(|w| w[0].after_block > w[1].after_block)
-        {
-            return Err(QuantError::Internal(
-                "adaptive execution requires exits in ascending block order".into(),
-            ));
-        }
-        let spe = if n_samples == 0 {
-            1
-        } else {
-            n_samples.div_ceil(n_exits)
-        };
-
-        // `Never` with MC samples is exactly the fixed-depth path; delegate
-        // so the accumulation order (pass-major) — and therefore every f32
-        // bit — matches `predict_probs_batch_into`. The deterministic
-        // `n_samples == 0` variant consults each exit once in Eval mode,
-        // which the generic loop below expresses directly.
-        if policy.is_never() && n_samples > 0 {
-            let (batch, classes) = self.predict_probs_batch_into(inputs, n_samples, seed, out)?;
-            exit_taken.clear();
-            exit_taken.resize(batch, n_exits - 1);
-            let (fixed_steps, fixed_ops) = self.fixed_cost(batch, n_samples);
-            return Ok(AdaptiveStats {
-                batch,
-                classes,
-                samples_per_exit: spe,
-                steps_executed: fixed_steps,
-                ops_executed: fixed_ops,
-                ops_fixed: fixed_ops,
-            });
-        }
-
-        let mode = if n_samples == 0 {
-            Mode::Eval
-        } else {
-            Mode::McSample
-        };
+        self.layout.check_adaptive().map_err(QuantError::Internal)?;
         let batch = self.check_input(inputs)?;
-        let classes = self.classes;
-        let (_, fixed_ops) = self.fixed_cost(batch, n_samples);
-        let elems = batch * classes;
-        if out.len() != elems {
-            out.clear();
-            out.resize(elems, 0.0);
+        if mc::serves_fixed(policy, n_samples) {
+            // Nothing retires, so the row-sharded fixed path serves it.
+            self.predict_probs_batch_into(inputs, n_samples, seed, out)?;
+            return Ok(self.layout.served_fixed(batch, n_samples, exit_taken));
         }
-        exit_taken.clear();
-        exit_taken.resize(batch, 0);
-
         // Compaction moves rows across the batch, so the adaptive path runs
-        // inline on the first arena.
-        let (steps_executed, ops_executed) = self.with_arenas(1, batch, |plan, arenas| {
-            let arena = &mut arenas[0];
-            plan.load_input(arena, inputs.as_slice());
-            for (i, v) in arena.live_idx[..batch].iter_mut().enumerate() {
-                *v = i;
-            }
-            arena.acc[..elems].fill(0.0);
-
-            let width = plan.width;
-            let mut live = batch;
-            let mut next_bound = 0usize;
-            let mut steps_executed = 0u64;
-            let mut ops_executed = 0u64;
-
-            for (e, exit) in plan.exits.iter().enumerate() {
-                let after_block = exit.after_block;
-                let bound = plan.block_bounds[after_block];
-                if bound > next_bound {
-                    let (s, o) = Self::run_steps(
-                        &plan.backbone[next_bound..bound],
-                        arena,
-                        width,
-                        live,
-                        Mode::Eval,
-                        MaskGranularity::PerSample,
-                    )?;
-                    steps_executed += s;
-                    ops_executed += o;
-                    next_bound = bound;
-                }
-                for p in 0..spe {
-                    if matches!(mode, Mode::McSample) {
-                        // Reseeding assigns every stream from the master
-                        // seed, so running only exit `e` afterwards draws the
-                        // identical masks the fixed path draws for this exit
-                        // on pass `p`.
-                        arena.reseed(stream_seed(seed, p as u64));
-                    }
-                    let (s, o) = Self::run_steps(
-                        &exit.steps,
-                        arena,
-                        width,
-                        live,
-                        mode,
-                        MaskGranularity::PerSample,
-                    )?;
-                    steps_executed += s;
-                    ops_executed += o;
-                    let n: usize = exit.out_dims.iter().product::<usize>() * live;
-                    let scale = exit.out_params.scale();
-                    for (l, &c) in arena.logits[..n]
-                        .iter_mut()
-                        .zip(&arena.slots[exit.out_slot][..n])
-                    {
-                        *l = c as f32 * scale;
-                    }
-                    softmax_rows_into(&arena.logits[..n], live, classes, &mut arena.probs[..n])?;
-                    for (a, &p) in arena.acc[..n].iter_mut().zip(&arena.probs[..n]) {
-                        *a += p;
-                    }
-                }
-                let consulted = ((e + 1) * spe) as f32;
-                let last = e + 1 == n_exits;
-
-                // Retire-or-compact pass: retired rows scatter their ensemble
-                // mean to their original output slot; survivors slide forward
-                // in the accumulator, the live-index map and the frontier
-                // block slot. The frontier slot is pinned — no backbone or
-                // exit step reuses it — so the gathered rows are exactly the
-                // block outputs the deeper segments read.
-                let frontier = plan.block_slots[after_block];
-                let unit = plan.block_units[after_block];
-                let mut keep = 0usize;
-                for r in 0..live {
-                    let start = r * classes;
-                    let retire =
-                        last || policy.retires(&arena.acc[start..start + classes], consulted);
-                    if retire {
-                        let orig = arena.live_idx[r];
-                        for c in 0..classes {
-                            out[orig * classes + c] = arena.acc[start + c] / consulted;
-                        }
-                        exit_taken[orig] = e;
-                    } else {
-                        if keep != r {
-                            arena
-                                .acc
-                                .copy_within(start..start + classes, keep * classes);
-                            arena.live_idx[keep] = arena.live_idx[r];
-                            if !last {
-                                arena.slots[frontier]
-                                    .copy_within(r * unit..(r + 1) * unit, keep * unit);
-                            }
-                        }
-                        keep += 1;
-                    }
-                }
-                if keep == 0 {
-                    live = 0;
-                    break;
-                }
-                live = keep;
-            }
-            debug_assert_eq!(live, 0, "every sample retires by the last exit");
-            Ok::<_, QuantError>((steps_executed, ops_executed))
-        })?;
-
-        Ok(AdaptiveStats {
-            batch,
-            classes,
-            samples_per_exit: spe,
-            steps_executed,
-            ops_executed,
-            ops_fixed: fixed_ops,
+        // inline on the first shard.
+        self.with_shards(1, batch, |plan, shards| {
+            let (mut backend, mc) = plan.backend(
+                &mut shards[0],
+                inputs.as_slice(),
+                MaskGranularity::PerSample,
+            );
+            mc::predict_adaptive(
+                &mut backend,
+                mc,
+                batch,
+                n_samples,
+                seed,
+                policy,
+                out,
+                exit_taken,
+            )
         })
     }
 
@@ -1644,6 +1440,66 @@ impl QuantPlan {
             exit_taken,
             stats,
         })
+    }
+}
+
+/// One row shard of a [`QuantPlan`] as the MC driver's backend: blocks are
+/// the backbone segments between `block_bounds`, each block's output stays
+/// in its pinned boundary slot (so compaction is a row move there), and
+/// exit codes are dequantized into the arena's logit staging.
+struct QuantBackend<'a> {
+    plan: &'a QuantPlan,
+    arena: &'a mut Arena,
+    masks: MaskGranularity,
+}
+
+impl McBackend for QuantBackend<'_> {
+    type Error = QuantError;
+
+    fn layout(&self) -> &McLayout {
+        &self.plan.layout
+    }
+
+    fn run_block(&mut self, block: usize, live: usize) -> Result<(), QuantError> {
+        let bounds = &self.plan.block_bounds;
+        let start = block.checked_sub(1).map_or(0, |b| bounds[b]);
+        QuantPlan::run_steps(
+            &self.plan.backbone[start..bounds[block]],
+            self.arena,
+            self.plan.width,
+            live,
+            Mode::Eval,
+            self.masks,
+        )
+    }
+
+    fn reseed(&mut self, master_seed: u64) {
+        self.arena.reseed(master_seed);
+    }
+
+    fn run_exit(&mut self, exit: usize, live: usize, mode: Mode) -> Result<&[f32], QuantError> {
+        let exit = &self.plan.exits[exit];
+        QuantPlan::run_steps(
+            &exit.steps,
+            self.arena,
+            self.plan.width,
+            live,
+            mode,
+            self.masks,
+        )?;
+        let n = exit.out_dims.iter().product::<usize>() * live;
+        let scale = exit.out_params.scale();
+        let logits = &mut self.arena.logits[..n];
+        for (l, &c) in logits.iter_mut().zip(&self.arena.slots[exit.out_slot]) {
+            *l = c as f32 * scale;
+        }
+        Ok(logits)
+    }
+
+    fn keep_row(&mut self, block: usize, from: usize, to: usize) {
+        let unit = self.plan.block_units[block];
+        self.arena.slots[self.plan.block_slots[block]]
+            .copy_within(from * unit..(from + 1) * unit, to * unit);
     }
 }
 
@@ -2232,9 +2088,9 @@ mod tests {
         let calib = calib_batch(&[4, 1, 10, 10], 62);
         let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
         let rows_of = |plan: &QuantPlan| -> Vec<usize> {
-            plan.arenas
+            plan.shards
                 .iter()
-                .map(|a| a.slots[plan.input_slot].len() / plan.slot_elems[plan.input_slot])
+                .map(|s| s.arena.slots[plan.input_slot].len() / plan.slot_elems[plan.input_slot])
                 .collect()
         };
         // Three shards of ceil(7 / 3) rows: the total stays that of one

@@ -34,7 +34,7 @@ use crate::degrade::{DegradeConfig, DegradeCtl};
 use crate::engine::BatchEngine;
 use crate::error::ServeError;
 use crate::sync::{lock_ok, panic_message, wait_ok, wait_timeout_ok};
-use bnn_models::ExitPolicy;
+use bnn_models::{mc, ExitPolicy};
 use bnn_tensor::Tensor;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1009,15 +1009,11 @@ fn serve_one_batch(
 /// samples per consulted exit (one deterministic consult when
 /// `n_samples == 0`); the fixed path always serves the full ensemble.
 fn ensemble_size(n_samples: usize, n_exits: usize, exit: usize, adaptive: bool) -> usize {
-    if !adaptive {
-        return if n_samples == 0 { n_exits } else { n_samples };
-    }
-    let spe = if n_samples == 0 {
-        1
+    if adaptive {
+        mc::samples_per_exit(n_samples, n_exits) * (exit + 1)
     } else {
-        n_samples.div_ceil(n_exits)
-    };
-    spe * (exit + 1)
+        mc::kept_samples(n_samples, n_exits)
+    }
 }
 
 #[cfg(test)]
