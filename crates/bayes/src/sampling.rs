@@ -13,12 +13,10 @@
 //! Threshold-based early exiting (used for the ECE-optimal rows of
 //! Table I) is provided by [`McSampler::adaptive_exit_predict`], with
 //! [`McSampler::confidence_exit_predict`] and
-//! [`McSampler::entropy_exit_predict`] as the two policy shorthands. When
-//! the network compiles to a [`bnn_models::MultiExitPlan`], early exiting
-//! runs on the plan's adaptive batched path — stragglers are compacted into
-//! a shrinking dense batch and easy samples stop paying for deeper blocks —
-//! and falls back to a full-depth layer-chain sweep otherwise. The two
-//! paths are bit-identical.
+//! [`McSampler::entropy_exit_predict`] as the two policy shorthands. Early
+//! exiting runs on the compiled [`bnn_models::MultiExitPlan`]'s adaptive
+//! batched path: stragglers are compacted into a shrinking dense batch and
+//! easy samples stop paying for deeper blocks.
 //!
 //! # Determinism and parallelism
 //!
@@ -28,9 +26,8 @@
 //! prediction depends only on the network checkpoint, the inputs and the
 //! sampler seed — never on earlier passes or on scheduling. That is what
 //! lets [`McSampler::predict`] fan independent passes out across the
-//! executor's thread pool (each worker gets a [`MultiExitNetwork::replicate`]
-//! inference replica) while staying bitwise identical to the
-//! single-threaded run.
+//! executor's thread pool (each worker gets a clone of the compiled plan)
+//! while staying bitwise identical to the single-threaded run.
 
 use crate::BayesError;
 use bnn_models::{ExitPolicy, MultiExitNetwork, MultiExitPlan};
@@ -152,21 +149,22 @@ impl McSampler {
     ///
     /// The deterministic backbone runs once; the (cheap) exit passes are
     /// independent given their seeded mask streams and fan out across the
-    /// sampler's executor. Plannable networks (no batch normalisation or
-    /// residual blocks) execute on a compiled [`bnn_models::MultiExitPlan`]
-    /// **cached on the network** ([`MultiExitNetwork::cached_plan`]) —
-    /// backbone and exits run in preallocated arenas reused across passes
-    /// *and across predictions* (the lowering + weight-packing compile
-    /// reruns only after a weight mutation or input-shape change), and
-    /// worker replicas are plan clones instead of per-worker spec rebuilds;
-    /// non-plannable networks take the layer chain. The two paths are
-    /// **bit-identical** (the plan reproduces every layer kernel and mask
-    /// stream exactly), as are all thread counts, including the sequential
-    /// path.
+    /// sampler's executor. Everything executes on a compiled
+    /// [`bnn_models::MultiExitPlan`] **cached on the network**
+    /// ([`MultiExitNetwork::cached_plan`]) — backbone and exits run in
+    /// preallocated arenas reused across passes *and across predictions*
+    /// (the lowering + weight-packing compile reruns only after a weight
+    /// mutation or input-shape change), and worker replicas are plan
+    /// clones. The plan reproduces every layer kernel and mask stream of the
+    /// layer chain bit for bit, and all thread counts, including the
+    /// sequential path, give identical bits.
     ///
     /// # Errors
     ///
-    /// Propagates network errors.
+    /// Returns [`BayesError::Invalid`] for a network without exits or inputs
+    /// of rank below 2, [`BayesError::Model`] when the network does not
+    /// compile (a layer without an inference lowering), or propagates
+    /// execution errors.
     pub fn predict(
         &self,
         network: &mut MultiExitNetwork,
@@ -176,69 +174,28 @@ impl McSampler {
         if n_exits == 0 {
             return Err(BayesError::Invalid("network has no exits".into()));
         }
-        if inputs.dims().len() >= 2 {
-            if let Ok(plan) = network.cached_plan(&inputs.dims()[1..]) {
-                // Plan clones serve the other workers, the cached plan the
-                // last one.
-                return self.predict_on(plan, inputs, n_exits, |plan, workers| {
-                    Ok(vec![plan.clone(); workers - 1])
-                });
-            }
-        }
-        self.predict_layered(network, inputs, n_exits)
-    }
-
-    /// The unplanned prediction path: the layer chain (networks with batch
-    /// normalisation or residual blocks). Exit passes cache activations in
-    /// the model, so every worker gets its own replica (`replicate_n`
-    /// serialises the checkpoint once).
-    fn predict_layered(
-        &self,
-        network: &mut MultiExitNetwork,
-        inputs: &Tensor,
-        n_exits: usize,
-    ) -> Result<McPrediction, BayesError> {
-        self.predict_on(network, inputs, n_exits, |network, workers| {
-            network
-                .replicate_n(workers)
-                .map_err(|e| BayesError::Invalid(e.to_string()))
-        })
-    }
-
-    /// Multi-exit MCD prediction on `primary`, the compiled plan or the
-    /// layer chain: the backbone runs once, then the exit passes, each
-    /// reseeding from its own `stream_seed(seed, pass)` stream.
-    /// Sequentially they all run on `primary`; fanned out, worker `w` runs
-    /// passes `w, w + W, …` on one replica per worker — the replicas
-    /// `replicate(primary, W)` returns, with `primary` taking the last
-    /// worker when it returns fewer than `W`. Each pass reseeds, so the
-    /// assignment does not affect the result.
-    fn predict_on<R: PassReplica>(
-        &self,
-        primary: &mut R,
-        inputs: &Tensor,
-        n_exits: usize,
-        replicate: impl FnOnce(&mut R, usize) -> Result<Vec<R>, BayesError>,
-    ) -> Result<McPrediction, BayesError> {
+        let plan = network.cached_plan(sample_dims(inputs)?)?;
         let passes = self.config.passes_for(n_exits).max(1);
-        let activations = primary.backbone(inputs)?;
+        let activations = plan.forward_backbone(inputs, Mode::Eval)?;
         let pass_seeds: Vec<u64> = (0..passes)
             .map(|p| stream_seed(self.config.seed, p as u64))
             .collect();
+        // Sequentially every pass runs on the cached plan; fanned out,
+        // worker `w` runs passes `w, w + W, …` on its own plan — clones for
+        // the first `W - 1` workers, the cached plan for the last. Each pass
+        // reseeds, so the assignment does not affect the result.
         let pass_exits = if self.executor.threads() > 1 && passes > 1 && !in_parallel_region() {
             let workers = self.executor.threads().min(passes);
-            let mut owned = replicate(primary, workers)?;
-            let mut replicas: Vec<&mut R> = owned.iter_mut().collect();
-            if replicas.len() < workers {
-                replicas.push(primary);
-            }
+            let mut owned = vec![plan.clone(); workers - 1];
+            let mut replicas: Vec<&mut MultiExitPlan> = owned.iter_mut().collect();
+            replicas.push(plan);
             let mut per_worker: Vec<Vec<Vec<Tensor>>> = self
                 .executor
                 .par_map_mut(&mut replicas, |w, replica| {
                     pass_seeds[w..]
                         .iter()
                         .step_by(workers)
-                        .map(|&seed| replica.run_pass(seed, &activations))
+                        .map(|&seed| run_pass(replica, seed, &activations))
                         .collect::<Result<Vec<_>, _>>()
                 })
                 .into_iter()
@@ -249,13 +206,13 @@ impl McSampler {
         } else {
             pass_seeds
                 .iter()
-                .map(|&seed| primary.run_pass(seed, &activations))
+                .map(|&seed| run_pass(plan, seed, &activations))
                 .collect::<Result<_, _>>()?
         };
         self.finish_prediction(pass_exits, passes, n_exits)
     }
 
-    /// Shared tail of both prediction paths: softmax per sample, truncate to
+    /// The tail of [`McSampler::predict`]: softmax per sample, truncate to
     /// the requested sample count, average.
     fn finish_prediction(
         &self,
@@ -370,17 +327,19 @@ impl McSampler {
     /// ([`ExitPolicy::retires`]) and the sample stops at the first exit the
     /// policy accepts — or at the last exit unconditionally.
     ///
-    /// Plannable networks execute on the compiled plan's adaptive batched
-    /// path ([`bnn_models::MultiExitPlan::predict_adaptive_batch_into`]):
+    /// Execution runs on the compiled plan's adaptive batched path
+    /// ([`bnn_models::MultiExitPlan::predict_adaptive_batch_into`]):
     /// retired samples leave the batch mid-flight and survivors are
     /// compacted into a dense smaller batch, so deeper blocks only ever see
-    /// the stragglers. Networks that cannot plan (batch normalisation,
-    /// residual blocks) fall back to a full-depth layer-chain sweep with the
-    /// same per-row decisions; the returned bits are identical either way.
+    /// the stragglers. Each row's probabilities and exit are those of a
+    /// full-depth per-row sweep over the exits.
     ///
     /// # Errors
     ///
-    /// Propagates network errors or an invalid policy threshold.
+    /// Returns [`BayesError::Invalid`] for an invalid policy threshold, a
+    /// network without exits or inputs of rank below 2,
+    /// [`BayesError::Model`] when the network does not compile (a layer
+    /// without an inference lowering), or propagates execution errors.
     pub fn adaptive_exit_predict(
         &self,
         network: &mut MultiExitNetwork,
@@ -388,126 +347,45 @@ impl McSampler {
         policy: &ExitPolicy,
     ) -> Result<EarlyExitPrediction, BayesError> {
         policy.validate().map_err(BayesError::Invalid)?;
-        let n_exits = network.num_exits();
-        if n_exits == 0 {
+        if network.num_exits() == 0 {
             return Err(BayesError::Invalid("network has no exits".into()));
         }
         let cumulative = exit_cumulative_flops_fraction(network)?;
-        if inputs.dims().len() >= 2 {
-            let planned = match network.cached_plan(&inputs.dims()[1..]) {
-                Ok(plan) => {
-                    let mut out = Vec::new();
-                    let mut exit_taken = Vec::new();
-                    // n_samples = 0: one deterministic (dropout-disabled)
-                    // consult per exit — the historical early-exit
-                    // semantics. The seed is unused in that mode.
-                    let stats = plan.predict_adaptive_batch_into(
-                        inputs,
-                        0,
-                        0,
-                        policy,
-                        &mut out,
-                        &mut exit_taken,
-                    )?;
-                    Some((out, exit_taken, stats.batch, stats.classes))
-                }
-                Err(_) => None,
-            };
-            if let Some((out, exit_taken, batch, classes)) = planned {
-                let flops_sum: f64 = exit_taken.iter().map(|&e| cumulative[e]).sum();
-                return Ok(EarlyExitPrediction {
-                    probs: Tensor::from_vec(out, &[batch, classes])?,
-                    exit_taken,
-                    mean_flops_fraction: flops_sum / batch.max(1) as f64,
-                });
-            }
-        }
-        self.adaptive_exit_layered(network, inputs, policy, n_exits, &cumulative)
-    }
-
-    /// The unplanned early-exit path: every exit of the layer chain runs at
-    /// full depth, then the per-row policy sweep picks each sample's exit.
-    /// Bit-identical to the plan's adaptive path (same kernels, same softmax
-    /// rows, same accumulation order, same [`ExitPolicy::retires`] bits) —
-    /// it just cannot skip the deeper blocks.
-    fn adaptive_exit_layered(
-        &self,
-        network: &mut MultiExitNetwork,
-        inputs: &Tensor,
-        policy: &ExitPolicy,
-        n_exits: usize,
-        cumulative: &[f64],
-    ) -> Result<EarlyExitPrediction, BayesError> {
-        let exits = network.forward_exits(inputs, Mode::Eval)?;
-        let probs_per_exit: Result<Vec<Tensor>, BayesError> = exits
-            .iter()
-            .map(|e| softmax(e).map_err(BayesError::from))
-            .collect();
-        let probs_per_exit = probs_per_exit?;
-        let (batch, classes) = probs_per_exit[0].shape().as_matrix()?;
-
-        let mut out = vec![0.0f32; batch * classes];
-        let mut exit_taken = vec![0usize; batch];
-        let mut flops_sum = 0.0f64;
-        for b in 0..batch {
-            let mut running = vec![0.0f32; classes];
-            let mut chosen = n_exits - 1;
-            for (i, exit_probs) in probs_per_exit.iter().enumerate() {
-                let row = &exit_probs.as_slice()[b * classes..(b + 1) * classes];
-                for (acc, &p) in running.iter_mut().zip(row) {
-                    *acc += p;
-                }
-                let denom = (i + 1) as f32;
-                if policy.retires(&running, denom) || i == n_exits - 1 {
-                    chosen = i;
-                    for c in 0..classes {
-                        out[b * classes + c] = running[c] / denom;
-                    }
-                    break;
-                }
-            }
-            exit_taken[b] = chosen;
-            flops_sum += cumulative[chosen];
-        }
+        // n_samples = 0: one deterministic (dropout-disabled) consult per
+        // exit — the historical early-exit semantics. The seed is unused in
+        // that mode.
+        let pred = network
+            .cached_plan(sample_dims(inputs)?)?
+            .predict_adaptive_batch(inputs, 0, 0, policy)?;
+        let flops_sum: f64 = pred.exit_taken.iter().map(|&e| cumulative[e]).sum();
         Ok(EarlyExitPrediction {
-            probs: Tensor::from_vec(out, &[batch, classes])?,
-            exit_taken,
-            mean_flops_fraction: flops_sum / batch.max(1) as f64,
+            probs: pred.probs,
+            exit_taken: pred.exit_taken,
+            mean_flops_fraction: flops_sum / pred.stats.batch.max(1) as f64,
         })
     }
 }
 
-/// A model the exit passes of [`McSampler::predict`] run on: the compiled
-/// plan or the layer chain.
-trait PassReplica: Send {
-    /// Runs the backbone in [`Mode::Eval`], returning every block's output.
-    fn backbone(&mut self, inputs: &Tensor) -> Result<Vec<Tensor>, BayesError>;
-
-    /// Reseeds every MC-dropout stream from `seed` and runs the exits in
-    /// [`Mode::McSample`] on the backbone `activations`.
-    fn run_pass(&mut self, seed: u64, activations: &[Tensor]) -> Result<Vec<Tensor>, BayesError>;
-}
-
-impl PassReplica for MultiExitPlan {
-    fn backbone(&mut self, inputs: &Tensor) -> Result<Vec<Tensor>, BayesError> {
-        Ok(self.forward_backbone(inputs, Mode::Eval)?)
-    }
-
-    fn run_pass(&mut self, seed: u64, activations: &[Tensor]) -> Result<Vec<Tensor>, BayesError> {
-        self.reseed_mc_streams(seed);
-        Ok(self.forward_exits_from_activations(activations, Mode::McSample)?)
+/// The per-sample dims of a `[batch, ..]` input.
+fn sample_dims(inputs: &Tensor) -> Result<&[usize], BayesError> {
+    match inputs.dims() {
+        [_, sample @ ..] if !sample.is_empty() => Ok(sample),
+        dims => Err(BayesError::Invalid(format!(
+            "inputs must be [batch, ..sample dims], got {dims:?}"
+        ))),
     }
 }
 
-impl PassReplica for MultiExitNetwork {
-    fn backbone(&mut self, inputs: &Tensor) -> Result<Vec<Tensor>, BayesError> {
-        Ok(self.forward_backbone(inputs, Mode::Eval)?)
-    }
-
-    fn run_pass(&mut self, seed: u64, activations: &[Tensor]) -> Result<Vec<Tensor>, BayesError> {
-        self.reseed_mc_streams(seed);
-        Ok(self.forward_exits_from_activations(activations, Mode::McSample)?)
-    }
+/// One exit pass of [`McSampler::predict`]: reseeds every MC-dropout stream
+/// from `seed` and runs the exits in [`Mode::McSample`] on the backbone
+/// `activations`.
+fn run_pass(
+    plan: &mut MultiExitPlan,
+    seed: u64,
+    activations: &[Tensor],
+) -> Result<Vec<Tensor>, BayesError> {
+    plan.reseed_mc_streams(seed);
+    Ok(plan.forward_exits_from_activations(activations, Mode::McSample)?)
 }
 
 /// Cumulative FLOPs fraction of the full network consumed when a sample
@@ -612,30 +490,106 @@ mod tests {
             .unwrap()
     }
 
+    /// The layer-chain oracle of [`McSampler::predict`]: the backbone once
+    /// in [`Mode::Eval`], then per pass a reseed and the exits in
+    /// [`Mode::McSample`], all on the network's own layers.
+    fn predict_on_layers(
+        sampler: &McSampler,
+        network: &mut MultiExitNetwork,
+        inputs: &Tensor,
+    ) -> McPrediction {
+        let n_exits = network.num_exits();
+        let passes = sampler.config.passes_for(n_exits).max(1);
+        let activations = network.forward_backbone(inputs, Mode::Eval).unwrap();
+        let pass_exits = (0..passes)
+            .map(|p| {
+                network.reseed_mc_streams(stream_seed(sampler.config.seed, p as u64));
+                network
+                    .forward_exits_from_activations(&activations, Mode::McSample)
+                    .unwrap()
+            })
+            .collect();
+        sampler
+            .finish_prediction(pass_exits, passes, n_exits)
+            .unwrap()
+    }
+
+    /// The layer-chain oracle of [`McSampler::adaptive_exit_predict`]: every
+    /// exit runs at full depth, then a per-row policy sweep picks each
+    /// sample's exit.
+    fn adaptive_exit_on_layers(
+        network: &mut MultiExitNetwork,
+        inputs: &Tensor,
+        policy: &ExitPolicy,
+    ) -> EarlyExitPrediction {
+        let cumulative = exit_cumulative_flops_fraction(network).unwrap();
+        let probs_per_exit: Vec<Tensor> = network
+            .forward_exits(inputs, Mode::Eval)
+            .unwrap()
+            .iter()
+            .map(|e| softmax(e).unwrap())
+            .collect();
+        let n_exits = probs_per_exit.len();
+        let (batch, classes) = probs_per_exit[0].shape().as_matrix().unwrap();
+        let mut out = vec![0.0f32; batch * classes];
+        let mut exit_taken = vec![0usize; batch];
+        let mut flops_sum = 0.0f64;
+        for b in 0..batch {
+            let mut running = vec![0.0f32; classes];
+            for (i, exit_probs) in probs_per_exit.iter().enumerate() {
+                let row = &exit_probs.as_slice()[b * classes..(b + 1) * classes];
+                for (acc, &p) in running.iter_mut().zip(row) {
+                    *acc += p;
+                }
+                let denom = (i + 1) as f32;
+                if policy.retires(&running, denom) || i == n_exits - 1 {
+                    for (o, r) in out[b * classes..(b + 1) * classes].iter_mut().zip(&running) {
+                        *o = r / denom;
+                    }
+                    exit_taken[b] = i;
+                    flops_sum += cumulative[i];
+                    break;
+                }
+            }
+        }
+        EarlyExitPrediction {
+            probs: Tensor::from_vec(out, &[batch, classes]).unwrap(),
+            exit_taken,
+            mean_flops_fraction: flops_sum / batch as f64,
+        }
+    }
+
+    /// Each test network (LeNet-5, ResNet-18) with an input batch for it.
+    /// Training forwards move ResNet-18's batch-norm running statistics off
+    /// their defaults, where the folded and unfolded forms would agree.
+    fn nets_and_inputs(batch: usize, seed: u64) -> Vec<(MultiExitNetwork, Tensor)> {
+        let mut rng = bnn_tensor::rng::Xoshiro256StarStar::seed_from_u64(seed);
+        let mut resnet = small_net();
+        for _ in 0..2 {
+            let x = Tensor::randn(&[4, 3, 12, 12], &mut rng).map(|v| 1.5 * v + 0.5);
+            resnet.forward_backbone(&x, Mode::Train).unwrap();
+        }
+        vec![
+            (small_lenet(), Tensor::randn(&[batch, 1, 10, 10], &mut rng)),
+            (resnet, Tensor::randn(&[batch, 3, 12, 12], &mut rng)),
+        ]
+    }
+
     #[test]
     fn planned_prediction_matches_layered_bitwise() {
-        // LeNet compiles to a plan; the planned fast path (engaged by the
-        // multi-threaded executor) must reproduce the layer-chain path bit
-        // for bit, mean and per-sample alike.
-        let mut net_planned = small_lenet();
-        let mut net_layered = small_lenet();
-        let mut rng = bnn_tensor::rng::Xoshiro256StarStar::seed_from_u64(21);
-        let x = Tensor::randn(&[3, 1, 10, 10], &mut rng);
+        // The planned path (fanned out by the multi-threaded executor) must
+        // reproduce the layer chain bit for bit, mean and per-sample alike,
+        // on a plain conv net and on a batch-norm residual net.
         let sampler = McSampler::new(SamplingConfig::new(8)).with_executor(Executor::new(4));
-        let planned = sampler.predict(&mut net_planned, &x).unwrap();
-        let n_exits = net_layered.num_exits();
-        let layered = sampler
-            .predict_layered(&mut net_layered, &x, n_exits)
-            .unwrap();
-        assert_eq!(planned.mean_probs.as_slice(), layered.mean_probs.as_slice());
-        assert_eq!(planned.per_sample.len(), layered.per_sample.len());
-        for (a, b) in planned.per_sample.iter().zip(&layered.per_sample) {
-            assert_eq!(a.as_slice(), b.as_slice());
+        for (mut net, x) in nets_and_inputs(3, 21) {
+            let planned = sampler.predict(&mut net, &x).unwrap();
+            let layered = predict_on_layers(&sampler, &mut net, &x);
+            assert_eq!(planned.mean_probs.as_slice(), layered.mean_probs.as_slice());
+            assert_eq!(planned.per_sample.len(), layered.per_sample.len());
+            for (a, b) in planned.per_sample.iter().zip(&layered.per_sample) {
+                assert_eq!(a.as_slice(), b.as_slice(), "{}", net.name());
+            }
         }
-        // The residual model cannot plan and silently takes the layer path —
-        // the public API behaves identically for it (covered by the other
-        // tests, which use resnet18).
-        assert!(small_net().compile_plan(&[3, 12, 12]).is_err());
     }
 
     #[test]
@@ -749,39 +703,77 @@ mod tests {
 
     #[test]
     fn adaptive_plan_path_matches_layered_fallback_bitwise() {
-        // LeNet compiles, so the public API takes the plan's adaptive
-        // batched path (with mid-flight compaction); forcing the layered
-        // full-depth sweep must give the same bits, exits and FLOPs.
-        let mut rng = bnn_tensor::rng::Xoshiro256StarStar::seed_from_u64(41);
-        let x = Tensor::randn(&[5, 1, 10, 10], &mut rng);
+        // The plan's adaptive batched path (with mid-flight compaction) must
+        // give the full-depth layer-chain sweep's bits, exits and FLOPs.
         let sampler = McSampler::default();
-        for policy in [
-            ExitPolicy::Never,
-            ExitPolicy::Confidence { threshold: 0.3 },
-            ExitPolicy::Confidence { threshold: 0.0 },
-            ExitPolicy::Entropy { threshold: 0.97 },
-        ] {
-            let mut net = small_lenet();
-            let planned = sampler
-                .adaptive_exit_predict(&mut net, &x, &policy)
-                .unwrap();
-            let mut net_layered = small_lenet();
-            let n_exits = net_layered.num_exits();
-            let cumulative = exit_cumulative_flops_fraction(&net_layered).unwrap();
-            let layered = sampler
-                .adaptive_exit_layered(&mut net_layered, &x, &policy, n_exits, &cumulative)
-                .unwrap();
-            assert_eq!(
-                planned.probs.as_slice(),
-                layered.probs.as_slice(),
-                "policy {policy}"
-            );
-            assert_eq!(planned.exit_taken, layered.exit_taken, "policy {policy}");
-            assert_eq!(
-                planned.mean_flops_fraction, layered.mean_flops_fraction,
-                "policy {policy}"
-            );
+        for (mut net, x) in nets_and_inputs(5, 41) {
+            for policy in [
+                ExitPolicy::Never,
+                ExitPolicy::Confidence { threshold: 0.3 },
+                ExitPolicy::Confidence { threshold: 0.0 },
+                ExitPolicy::Entropy { threshold: 0.97 },
+            ] {
+                let planned = sampler
+                    .adaptive_exit_predict(&mut net, &x, &policy)
+                    .unwrap();
+                let layered = adaptive_exit_on_layers(&mut net, &x, &policy);
+                let what = format!("{} policy {policy}", net.name());
+                assert_eq!(planned.probs.as_slice(), layered.probs.as_slice(), "{what}");
+                assert_eq!(planned.exit_taken, layered.exit_taken, "{what}");
+                assert_eq!(
+                    planned.mean_flops_fraction, layered.mean_flops_fraction,
+                    "{what}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn rank_one_inputs_are_typed_errors() {
+        let mut net = small_lenet();
+        let sampler = McSampler::default();
+        let x = Tensor::ones(&[100]);
+        assert!(matches!(
+            sampler.predict(&mut net, &x),
+            Err(BayesError::Invalid(_))
+        ));
+        assert!(matches!(
+            sampler.adaptive_exit_predict(&mut net, &x, &ExitPolicy::Never),
+            Err(BayesError::Invalid(_))
+        ));
+    }
+
+    #[test]
+    fn unlowerable_network_is_a_typed_error() {
+        // Softmax has no inference lowering, so the network cannot compile.
+        use bnn_models::spec::{LayerSpec, NetworkSpec};
+        let mut net = NetworkSpec::single_exit(
+            "softmax-head",
+            1,
+            4,
+            4,
+            2,
+            vec![vec![LayerSpec::Flatten]],
+            vec![
+                LayerSpec::Dense {
+                    in_features: 16,
+                    out_features: 2,
+                },
+                LayerSpec::Softmax,
+            ],
+        )
+        .build(1)
+        .unwrap();
+        let sampler = McSampler::default();
+        let x = Tensor::ones(&[2, 1, 4, 4]);
+        assert!(matches!(
+            sampler.predict(&mut net, &x),
+            Err(BayesError::Model(_))
+        ));
+        assert!(matches!(
+            sampler.adaptive_exit_predict(&mut net, &x, &ExitPolicy::Never),
+            Err(BayesError::Model(_))
+        ));
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! output bit. The seeded fixed-depth and adaptive entry points run the
 //! shared exit-major driver ([`crate::mc`]) with the plan as its backend:
 //! every block's output stays in that block's arena, and adaptive
-//! compaction moves surviving rows in place there. Networks with
-//! non-plannable layers (batch normalisation, residual blocks) fail
-//! compilation and callers fall back to the layer chain.
+//! compaction moves surviving rows in place there. Every zoo architecture
+//! plans, batch normalisation and residual blocks included.
 
 use crate::error::ModelError;
 use crate::mc::{self, McBackend, McLayout, McScratch};
@@ -54,9 +53,8 @@ impl MultiExitNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Nn`] when any layer has no bit-reproducible
-    /// flat plan (batch normalisation, residual blocks) — callers should
-    /// fall back to the unplanned forward path.
+    /// Returns [`ModelError::Nn`] when a layer has no inference lowering or
+    /// a shape does not chain.
     pub fn compile_plan(&self, in_dims: &[usize]) -> Result<MultiExitPlan, ModelError> {
         let mut dims = in_dims.to_vec();
         let mut blocks = Vec::with_capacity(self.num_blocks());
@@ -97,9 +95,7 @@ impl MultiExitNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Nn`] when the network has no bit-reproducible
-    /// flat plan (batch normalisation, residual blocks) — callers should
-    /// fall back to the unplanned forward path.
+    /// See [`MultiExitNetwork::compile_plan`].
     pub fn cached_plan(&mut self, in_dims: &[usize]) -> Result<&mut MultiExitPlan, ModelError> {
         let version = self.weight_version();
         let hit = matches!(
@@ -667,17 +663,51 @@ mod tests {
     }
 
     #[test]
-    fn residual_networks_fall_back() {
-        let net = zoo::resnet18(
-            &ModelConfig::cifar10()
-                .with_resolution(12, 12)
-                .with_width_divisor(16),
-        )
-        .with_exits_after_every_block()
-        .unwrap()
-        .build(1)
-        .unwrap();
-        assert!(net.compile_plan(&[3, 12, 12]).is_err());
+    fn batchnorm_and_residual_networks_plan_bitwise() {
+        let config = ModelConfig::cifar10()
+            .with_resolution(12, 12)
+            .with_width_divisor(16);
+        for spec in [
+            zoo::resnet18(&config),
+            zoo::vgg11(&config),
+            zoo::vgg19(&config),
+        ] {
+            let mut net = spec
+                .with_exits_after_every_block()
+                .unwrap()
+                .with_exit_mcd(0.3)
+                .unwrap()
+                .build(1)
+                .unwrap();
+            let mut rng = Xoshiro256StarStar::seed_from_u64(19);
+            // Training forwards move the batch-norm running statistics off
+            // their defaults, and must invalidate a plan cached before them.
+            net.cached_plan(&[3, 12, 12]).unwrap();
+            for _ in 0..2 {
+                let x = Tensor::randn(&[4, 3, 12, 12], &mut rng).map(|v| 1.5 * v + 0.5);
+                net.forward_backbone(&x, Mode::Train).unwrap();
+            }
+            let mut plan = net.cached_plan(&[3, 12, 12]).unwrap().clone();
+            let x = Tensor::randn(&[3, 3, 12, 12], &mut rng);
+            let acts_ref = net.forward_backbone(&x, Mode::Eval).unwrap();
+            let acts = plan.forward_backbone(&x, Mode::Eval).unwrap();
+            for (a, b) in acts_ref.iter().zip(&acts) {
+                assert_eq!(a.as_slice(), b.as_slice(), "{}", net.name());
+            }
+            for seed in [3u64, 77] {
+                net.reseed_mc_streams(seed);
+                plan.reseed_mc_streams(seed);
+                let e_ref = net
+                    .forward_exits_from_activations(&acts_ref, Mode::McSample)
+                    .unwrap();
+                let e_plan = plan
+                    .forward_exits_from_activations(&acts, Mode::McSample)
+                    .unwrap();
+                for (a, b) in e_ref.iter().zip(&e_plan) {
+                    assert_eq!(a.as_slice(), b.as_slice(), "{} seed {seed}", net.name());
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!
 //! Both compiled plan families (`bnn_quant::QuantPlan` and
 //! [`MultiExitPlan`](crate::MultiExitPlan)) apply the policy through the one
-//! exit-major driver in [`crate::mc`], and the `bnn-bayes` layer-chain
-//! reference applies the same [`ExitPolicy::retires`], so "the same policy"
+//! exit-major driver in [`crate::mc`], and the `bnn-bayes` layer-chain test
+//! oracle applies the same [`ExitPolicy::retires`], so "the same policy"
 //! means the same bits everywhere.
 
 use bnn_tensor::Tensor;
@@ -104,7 +104,7 @@ impl ExitPolicy {
     /// Row-local and allocation-free by construction; every adaptive
     /// execution path calls exactly this function so the decision bits can
     /// never diverge between the plans' shared driver ([`crate::mc`]) and
-    /// the sampler's layer-chain path.
+    /// the sampler's layer-chain test oracle.
     pub fn retires(&self, acc_row: &[f32], denom: f32) -> bool {
         match self {
             ExitPolicy::Never => false,

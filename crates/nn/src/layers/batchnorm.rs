@@ -209,18 +209,18 @@ impl Layer for BatchNorm2d {
     }
 
     fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
-        // Fold the evaluation-time normalisation into a per-channel affine:
-        // y = gamma * (x - mean) / sqrt(var + eps) + beta = scale * x + shift.
-        let gamma = self.gamma.value.as_slice();
-        let beta = self.beta.value.as_slice();
-        let mut scale = Vec::with_capacity(self.channels);
-        let mut shift = Vec::with_capacity(self.channels);
-        for ch in 0..self.channels {
-            let s = gamma[ch] / (self.running_var[ch] + self.eps).sqrt();
-            scale.push(s);
-            shift.push(beta[ch] - s * self.running_mean[ch]);
-        }
-        Ok(crate::lowering::LayerLowering::Affine { scale, shift })
+        Ok(crate::lowering::LayerLowering::Affine(
+            crate::lowering::BatchNormConsts {
+                gamma: self.gamma.value.as_slice().to_vec(),
+                beta: self.beta.value.as_slice().to_vec(),
+                mean: self.running_mean.clone(),
+                std: self
+                    .running_var
+                    .iter()
+                    .map(|&v| (v + self.eps).sqrt())
+                    .collect(),
+            },
+        ))
     }
 
     fn state(&self) -> Vec<Vec<f32>> {

@@ -3,7 +3,7 @@
 //!
 //! [`Layer::lowering`](crate::Layer::lowering) turns a layer into a
 //! [`LayerLowering`] — an owned, backward-free description carrying exactly
-//! what an inference backend needs: weights, geometry, folded normalisation
+//! what an inference backend needs: weights, geometry, normalisation
 //! constants and dropout rates. `bnn-quant` consumes these descriptions to
 //! build the true fixed-point integer inference path (calibrated
 //! `QuantizedNetwork`s), and the same descriptions — via the compiled plan's
@@ -15,8 +15,10 @@
 //! The enum intentionally describes *inference* semantics only:
 //!
 //! * [`LayerLowering::Affine`] is batch normalisation with its running
-//!   statistics folded into a per-channel `scale * x + shift` — the form
-//!   every deployment pipeline uses once training is over.
+//!   statistics frozen. It carries the unfolded constants, so the float
+//!   plan reproduces the layer's `gamma * ((x - mean) * (1 / std)) + beta`
+//!   bit for bit; [`BatchNormConsts::fold`] gives the per-channel
+//!   `scale * x + shift` the fixed-point backends quantize.
 //! * Standard dropout lowers to [`LayerLowering::Identity`]: it is inactive
 //!   outside training. Monte-Carlo dropout stays stochastic at inference and
 //!   lowers to [`LayerLowering::McDropout`], preserving its rate so backends
@@ -71,14 +73,9 @@ pub enum LayerLowering {
     GlobalAvgPool2d,
     /// Flatten all axes but the batch axis.
     Flatten,
-    /// Per-channel affine transform `y = scale * x + shift` over NCHW input —
-    /// batch normalisation with its running statistics folded in.
-    Affine {
-        /// Per-channel multiplier (`gamma / sqrt(running_var + eps)`).
-        scale: Vec<f32>,
-        /// Per-channel offset (`beta - scale * running_mean`).
-        shift: Vec<f32>,
-    },
+    /// Per-channel affine transform over NCHW input: evaluation-time batch
+    /// normalisation with frozen running statistics.
+    Affine(BatchNormConsts),
     /// Monte-Carlo dropout: stochastic at inference time, filter-wise masks
     /// over NCHW tensors, inverted scaling `1 / (1 - rate)` on kept units.
     McDropout {
@@ -112,7 +109,7 @@ impl LayerLowering {
             LayerLowering::AvgPool2d { .. } => "avg_pool2d",
             LayerLowering::GlobalAvgPool2d => "global_avg_pool2d",
             LayerLowering::Flatten => "flatten",
-            LayerLowering::Affine { .. } => "affine",
+            LayerLowering::Affine(_) => "affine",
             LayerLowering::McDropout { .. } => "mc_dropout",
             LayerLowering::Identity => "identity",
             LayerLowering::Sequence(_) => "sequence",
@@ -126,6 +123,38 @@ impl LayerLowering {
             self,
             LayerLowering::Conv2d { .. } | LayerLowering::Dense { .. }
         )
+    }
+}
+
+/// Batch normalisation's evaluation-time constants, per channel and
+/// unfolded: `y = gamma * ((x - mean) * (1 / std)) + beta`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BatchNormConsts {
+    /// Learned scale.
+    pub gamma: Vec<f32>,
+    /// Learned offset.
+    pub beta: Vec<f32>,
+    /// Running mean.
+    pub mean: Vec<f32>,
+    /// `sqrt(running_var + eps)`.
+    pub std: Vec<f32>,
+}
+
+impl BatchNormConsts {
+    /// The folded per-channel `(scale, shift)` of `y = scale * x + shift`:
+    /// `scale = gamma / std`, `shift = beta - scale * mean`. Not bit-equal to
+    /// the unfolded form; the fixed-point backends quantize this one.
+    pub fn fold(&self) -> (Vec<f32>, Vec<f32>) {
+        let scale: Vec<f32> = self
+            .gamma
+            .iter()
+            .zip(&self.std)
+            .map(|(g, s)| g / s)
+            .collect();
+        let shift = (self.beta.iter().zip(&scale).zip(&self.mean))
+            .map(|((b, s), m)| b - s * m)
+            .collect();
+        (scale, shift)
     }
 }
 
@@ -209,7 +238,10 @@ mod tests {
         let mut bn = BatchNorm2d::new(2).unwrap();
         bn.set_state(&[vec![1.0, -0.5], vec![4.0, 0.25]]).unwrap();
         match bn.lowering().unwrap() {
-            LayerLowering::Affine { scale, shift } => {
+            LayerLowering::Affine(consts) => {
+                assert_eq!(consts.mean, vec![1.0, -0.5]);
+                assert_eq!(consts.std[0], (4.0f32 + 1e-5).sqrt());
+                let (scale, shift) = consts.fold();
                 // scale = gamma / sqrt(var + eps); gamma = 1, beta = 0
                 assert!((scale[0] - 1.0 / (4.0f32 + 1e-5).sqrt()).abs() < 1e-6);
                 assert!((shift[0] + scale[0] * 1.0).abs() < 1e-6);

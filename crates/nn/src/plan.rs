@@ -2,31 +2,31 @@
 //! lowered layer stack.
 //!
 //! [`InferencePlan::compile`] flattens a [`LayerLowering`] tree into a linear
-//! step list with a two-slot ping-pong arena (element-wise steps run in
-//! place) and per-step kernel scratch. Executing the plan reproduces the
-//! layer-by-layer [`Layer::forward`](crate::Layer::forward) chain **bit for
-//! bit** — each step runs exactly the kernels and loops of its layer, and
-//! MC-dropout steps draw from the same reseedable streams in the same order —
-//! while performing no per-layer allocation in the steady state. This is
-//! what lets the Monte-Carlo sampler re-run exit branches hundreds of times
-//! per prediction without touching the allocator or rebuilding model
-//! replicas.
+//! step list over a small slot arena (element-wise steps run in place) and
+//! one im2col/matmul scratch shared by every step. A residual block
+//! flattens as main path ‖ shortcut ‖ merge: its input stays in its slot
+//! until the shortcut has read it, and the main path's output until the
+//! merge. Executing the plan reproduces the layer-by-layer
+//! [`Layer::forward`](crate::Layer::forward) chain **bit for bit** — each
+//! step runs exactly the kernels and loops of its layer (batch
+//! normalisation its unfolded `gamma * ((x - mean) * (1 / std)) + beta`),
+//! and MC-dropout steps draw from the same reseedable streams in the same
+//! order (residual main paths before shortcuts) — while performing no
+//! per-layer allocation in the steady state. This is what lets the
+//! Monte-Carlo sampler re-run exit branches hundreds of times per
+//! prediction without touching the allocator or rebuilding model replicas.
 //!
-//! Only inference-static layers are plannable: convolution, dense, ReLU,
-//! pooling, flatten, identity and MC dropout. Batch normalisation
-//! ([`LayerLowering::Affine`]) and residual blocks are rejected — their
-//! eval-time arithmetic is not bit-reproducible from the folded lowering —
-//! and callers fall back to the unplanned layer chain (the Bayesian sampler
-//! does this automatically).
+//! Every layer with an inference lowering is plannable; plans run the
+//! inference modes ([`Mode::Eval`], [`Mode::McSample`]).
 
 use crate::layer::Mode;
-use crate::lowering::LayerLowering;
+use crate::lowering::{BatchNormConsts, LayerLowering};
 use crate::NnError;
 use bnn_tensor::linalg::{im2col_slices_into, matmul_slices_into, ConvGeometry};
 use bnn_tensor::rng::{Rng, SplitMix64, Xoshiro256StarStar};
 use bnn_tensor::Tensor;
 
-/// A packed convolution step with its private kernel scratch.
+/// A packed convolution step.
 #[derive(Debug, Clone)]
 struct PlanConv {
     /// Weights reshaped to `[out_c, in_c * k * k]`.
@@ -37,13 +37,9 @@ struct PlanConv {
     kernel: usize,
     stride: usize,
     padding: usize,
-    /// im2col column scratch, reused across runs.
-    cols: Vec<f32>,
-    /// Matmul output scratch (`[out_c, batch * plane]`), reused across runs.
-    acc: Vec<f32>,
 }
 
-/// A dense step with its matmul scratch.
+/// A dense step.
 #[derive(Debug, Clone)]
 struct PlanDense {
     /// Weights `[in_f, out_f]` row-major (the layer's own layout).
@@ -51,24 +47,37 @@ struct PlanDense {
     bias: Vec<f32>,
     in_f: usize,
     out_f: usize,
-    acc: Vec<f32>,
 }
 
 #[derive(Debug, Clone)]
 enum StepKind {
     Conv(Box<PlanConv>),
     Dense(Box<PlanDense>),
+    BatchNorm(Box<BatchNormConsts>),
     Relu,
-    MaxPool { kernel: usize, stride: usize },
-    AvgPool { kernel: usize, stride: usize },
+    /// Max pooling when `max`, average pooling otherwise.
+    Pool {
+        kernel: usize,
+        stride: usize,
+        max: bool,
+    },
     GlobalAvgPool,
-    McDropout { rate: f64, rng: Xoshiro256StarStar },
+    McDropout {
+        rate: f64,
+        rng: Xoshiro256StarStar,
+    },
+    /// Residual merge `relu(main + shortcut)`: the step's source is the main
+    /// path's output, `shortcut` the slot holding the shortcut's.
+    Merge {
+        shortcut: usize,
+    },
 }
 
 #[derive(Debug, Clone)]
 struct Step {
     kind: StepKind,
-    /// Arena slot read (0 or 1; element-wise steps have `dst == src`).
+    /// Arena slot read. An element-wise step whose `dst` differs copies
+    /// `src` over first, then runs in place on `dst`.
     src: usize,
     dst: usize,
     /// Per-sample input dims (batch axis stripped).
@@ -77,8 +86,25 @@ struct Step {
 
 impl Step {
     fn elementwise(kind: &StepKind) -> bool {
-        matches!(kind, StepKind::Relu | StepKind::McDropout { .. })
+        matches!(
+            kind,
+            StepKind::Relu
+                | StepKind::BatchNorm(_)
+                | StepKind::McDropout { .. }
+                | StepKind::Merge { .. }
+        )
     }
+}
+
+/// Kernel scratch shared by every step of a plan.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// im2col columns of the running convolution.
+    cols: Vec<f32>,
+    /// Matmul output of the running convolution or dense step.
+    acc: Vec<f32>,
+    /// Dropout mask staging of the running MC-dropout step.
+    mask: Vec<f32>,
 }
 
 /// A compiled float inference plan for one lowered layer stack. Build with
@@ -87,13 +113,19 @@ impl Step {
 #[derive(Debug, Clone)]
 pub struct InferencePlan {
     steps: Vec<Step>,
-    /// Per-sample element capacity of the two ping-pong slots.
-    slot_elems: [usize; 2],
-    slots: [Vec<f32>; 2],
-    /// Per-element dropout mask staging (largest MC-dropout step).
+    /// Per-sample element capacity of each arena slot; the input lands in
+    /// slot 0.
+    slot_elems: Vec<usize>,
+    slots: Vec<Vec<f32>>,
+    /// Slots the step being compiled must not overwrite: residual inputs
+    /// until their main path has run, main-path outputs until their merge.
+    /// Empty once compiled.
+    pinned: Vec<usize>,
+    /// Per-sample capacities of the shared scratch (largest step).
+    cols_elems: usize,
+    acc_elems: usize,
     mask_elems: usize,
-    mask: Vec<f32>,
-    input_slot: usize,
+    scratch: Scratch,
     out_slot: usize,
     in_dims: Vec<usize>,
     out_dims: Vec<usize>,
@@ -110,9 +142,8 @@ impl InferencePlan {
     /// # Errors
     ///
     /// Returns [`NnError::UnsupportedLowering`] for layers without an
-    /// inference lowering or whose lowering is not bit-reproducible from a
-    /// flat plan (batch normalisation, residual blocks), or
-    /// [`NnError::InvalidConfig`] on shape mismatches.
+    /// inference lowering, or [`NnError::InvalidConfig`] on shape
+    /// mismatches.
     pub fn compile(layer: &dyn crate::Layer, in_dims: &[usize]) -> Result<Self, NnError> {
         let lowering = layer.lowering()?;
         Self::compile_lowering(&lowering, in_dims)
@@ -126,11 +157,13 @@ impl InferencePlan {
     pub fn compile_lowering(lowering: &LayerLowering, in_dims: &[usize]) -> Result<Self, NnError> {
         let mut plan = InferencePlan {
             steps: Vec::new(),
-            slot_elems: [in_dims.iter().product(), 0],
-            slots: [Vec::new(), Vec::new()],
+            slot_elems: vec![in_dims.iter().product()],
+            slots: Vec::new(),
+            pinned: Vec::new(),
+            cols_elems: 0,
+            acc_elems: 0,
             mask_elems: 0,
-            mask: Vec::new(),
-            input_slot: 0,
+            scratch: Scratch::default(),
             out_slot: 0,
             in_dims: in_dims.to_vec(),
             out_dims: in_dims.to_vec(),
@@ -139,15 +172,10 @@ impl InferencePlan {
         let mut cur_slot = 0usize;
         let mut cur_dims = in_dims.to_vec();
         plan.emit(lowering, &mut cur_slot, &mut cur_dims)?;
+        plan.slots = vec![Vec::new(); plan.slot_elems.len()];
         plan.out_slot = cur_slot;
         plan.out_dims = cur_dims;
         Ok(plan)
-    }
-
-    fn unsupported(what: &str) -> NnError {
-        NnError::UnsupportedLowering {
-            layer: format!("{what} (no bit-reproducible flat plan; use the layer chain)"),
-        }
     }
 
     fn push(
@@ -158,11 +186,21 @@ impl InferencePlan {
         out_dims: Vec<usize>,
     ) {
         let src = *cur_slot;
-        let dst = if Step::elementwise(&kind) {
+        let shortcut = match kind {
+            StepKind::Merge { shortcut } => Some(shortcut),
+            _ => None,
+        };
+        let writable = |slot: usize| !self.pinned.contains(&slot) && Some(slot) != shortcut;
+        let dst = if Step::elementwise(&kind) && writable(src) {
             src
         } else {
-            1 - src
+            (0..)
+                .find(|&slot| slot != src && writable(slot))
+                .expect("an unbounded range has a free slot")
         };
+        if dst == self.slot_elems.len() {
+            self.slot_elems.push(0);
+        }
         self.slot_elems[dst] = self.slot_elems[dst].max(out_dims.iter().product());
         self.unit_ops += step_unit_ops(&kind, cur_dims, &out_dims);
         self.steps.push(Step {
@@ -202,6 +240,9 @@ impl InferencePlan {
                 }
                 let geom =
                     ConvGeometry::square(cur_dims[1], cur_dims[2], kernel, *stride, *padding);
+                let plane = geom.out_h() * geom.out_w();
+                self.cols_elems = self.cols_elems.max(in_c * kernel * kernel * plane);
+                self.acc_elems = self.acc_elems.max(out_c * plane);
                 let out_dims = vec![out_c, geom.out_h(), geom.out_w()];
                 self.push(
                     StepKind::Conv(Box::new(PlanConv {
@@ -212,8 +253,6 @@ impl InferencePlan {
                         kernel,
                         stride: *stride,
                         padding: *padding,
-                        cols: Vec::new(),
-                        acc: Vec::new(),
                     })),
                     cur_slot,
                     cur_dims,
@@ -228,18 +267,29 @@ impl InferencePlan {
                         "dense plan expects per-sample [{in_f}], got {cur_dims:?}"
                     )));
                 }
+                self.acc_elems = self.acc_elems.max(out_f);
                 self.push(
                     StepKind::Dense(Box::new(PlanDense {
                         w: weight.as_slice().to_vec(),
                         bias: bias.as_slice().to_vec(),
                         in_f,
                         out_f,
-                        acc: Vec::new(),
                     })),
                     cur_slot,
                     cur_dims,
                     vec![out_f],
                 );
+            }
+            LayerLowering::Affine(bn) => {
+                if cur_dims.len() != 3 || cur_dims[0] != bn.gamma.len() {
+                    return Err(NnError::InvalidConfig(format!(
+                        "batchnorm plan expects per-sample [{}, h, w], got {cur_dims:?}",
+                        bn.gamma.len()
+                    )));
+                }
+                let out = cur_dims.clone();
+                let kind = StepKind::BatchNorm(Box::new(bn.clone()));
+                self.push(kind, cur_slot, cur_dims, out);
             }
             LayerLowering::Relu => {
                 let out = cur_dims.clone();
@@ -254,16 +304,10 @@ impl InferencePlan {
                 }
                 let geom = ConvGeometry::square(cur_dims[1], cur_dims[2], *kernel, *stride, 0);
                 let out_dims = vec![cur_dims[0], geom.out_h(), geom.out_w()];
-                let kind = if matches!(lowering, LayerLowering::MaxPool2d { .. }) {
-                    StepKind::MaxPool {
-                        kernel: *kernel,
-                        stride: *stride,
-                    }
-                } else {
-                    StepKind::AvgPool {
-                        kernel: *kernel,
-                        stride: *stride,
-                    }
+                let kind = StepKind::Pool {
+                    kernel: *kernel,
+                    stride: *stride,
+                    max: matches!(lowering, LayerLowering::MaxPool2d { .. }),
                 };
                 self.push(kind, cur_slot, cur_dims, out_dims);
             }
@@ -295,11 +339,27 @@ impl InferencePlan {
                     out,
                 );
             }
-            LayerLowering::Affine { .. } => {
-                return Err(Self::unsupported("batchnorm2d"));
-            }
-            LayerLowering::Residual { .. } => {
-                return Err(Self::unsupported("residual_block"));
+            LayerLowering::Residual { main, shortcut } => {
+                let (input, input_dims) = (*cur_slot, cur_dims.clone());
+                self.pinned.push(input);
+                for child in main {
+                    self.emit(child, cur_slot, cur_dims)?;
+                }
+                let (main_slot, main_dims) = (*cur_slot, std::mem::replace(cur_dims, input_dims));
+                *self.pinned.last_mut().expect("pushed above") = main_slot;
+                *cur_slot = input;
+                for child in shortcut {
+                    self.emit(child, cur_slot, cur_dims)?;
+                }
+                self.pinned.pop();
+                if *cur_dims != main_dims {
+                    return Err(NnError::InvalidConfig(format!(
+                        "residual main path yields {main_dims:?}, shortcut {cur_dims:?}"
+                    )));
+                }
+                let shortcut = *cur_slot;
+                *cur_slot = main_slot;
+                self.push(StepKind::Merge { shortcut }, cur_slot, cur_dims, main_dims);
             }
         }
         Ok(())
@@ -339,22 +399,27 @@ impl InferencePlan {
         }
     }
 
-    fn ensure(&mut self, batch: usize) {
-        for (slot, &unit) in self.slots.iter_mut().zip(&self.slot_elems) {
-            let need = unit * batch;
-            if slot.len() < need {
-                slot.resize(need, 0.0);
-            }
-        }
-        if self.mask.len() < self.mask_elems * batch {
-            self.mask.resize(self.mask_elems * batch, 0.0);
-        }
-    }
-
     /// Pre-sizes the arena for `max_batch` samples so later runs with any
     /// batch up to `max_batch` resize nothing. Monotone: never shrinks.
     pub fn ensure_batch(&mut self, max_batch: usize) {
-        self.ensure(max_batch.max(1));
+        let batch = max_batch.max(1);
+        let grow = |buf: &mut Vec<f32>, unit: usize| {
+            if buf.len() < unit * batch {
+                buf.resize(unit * batch, 0.0);
+            }
+        };
+        for (slot, &unit) in self.slots.iter_mut().zip(&self.slot_elems) {
+            grow(slot, unit);
+        }
+        grow(&mut self.scratch.mask, self.mask_elems);
+        // Each conv/dense step resizes cols/acc to its own size within this
+        // capacity.
+        for (buf, unit) in [
+            (&mut self.scratch.cols, self.cols_elems),
+            (&mut self.scratch.acc, self.acc_elems),
+        ] {
+            buf.reserve_exact((unit * batch).saturating_sub(buf.len()));
+        }
     }
 
     /// Runs the plan on a batched input, bit-identical to folding the
@@ -414,13 +479,13 @@ impl InferencePlan {
                 input.len()
             )));
         }
-        self.ensure(batch);
-        self.slots[self.input_slot][..in_elems].copy_from_slice(input);
+        self.ensure_batch(batch);
+        self.slots[0][..in_elems].copy_from_slice(input);
         for step in &mut self.steps {
             run_step(
                 step,
                 &mut self.slots,
-                &mut self.mask,
+                &mut self.scratch,
                 batch,
                 mode,
                 shared_mask,
@@ -451,48 +516,63 @@ fn step_unit_ops(kind: &StepKind, in_dims: &[usize], out_dims: &[usize]) -> u64 
     match kind {
         StepKind::Conv(conv) => (conv.in_c * conv.kernel * conv.kernel * out_elems) as u64,
         StepKind::Dense(dense) => (dense.in_f * dense.out_f) as u64,
-        StepKind::MaxPool { kernel, .. } | StepKind::AvgPool { kernel, .. } => {
-            (kernel * kernel * out_elems) as u64
-        }
+        StepKind::Pool { kernel, .. } => (kernel * kernel * out_elems) as u64,
         StepKind::GlobalAvgPool => in_elems as u64,
-        StepKind::Relu | StepKind::McDropout { .. } => out_elems as u64,
+        StepKind::Relu | StepKind::BatchNorm(_) | StepKind::McDropout { .. } => out_elems as u64,
+        StepKind::Merge { .. } => 2 * out_elems as u64,
     }
 }
 
-/// Borrows the source and destination slots (distinct indices) mutably.
-fn two_slots(slots: &mut [Vec<f32>; 2], src: usize, dst: usize) -> (&[f32], &mut Vec<f32>) {
+/// Borrows the source and destination slots (distinct indices).
+fn src_dst(slots: &mut [Vec<f32>], src: usize, dst: usize) -> (&[f32], &mut [f32]) {
     debug_assert_ne!(src, dst);
-    let (a, b) = slots.split_at_mut(1);
-    if src == 0 {
-        (&a[0], &mut b[0])
+    if src < dst {
+        let (head, tail) = slots.split_at_mut(dst);
+        (&head[src], &mut tail[0])
     } else {
-        (&b[0], &mut a[0])
+        let (head, tail) = slots.split_at_mut(src);
+        (&tail[0], &mut head[dst])
     }
 }
 
 fn run_step(
     step: &mut Step,
-    slots: &mut [Vec<f32>; 2],
-    mask: &mut [f32],
+    slots: &mut [Vec<f32>],
+    scratch: &mut Scratch,
     batch: usize,
     mode: Mode,
     shared_mask: bool,
 ) -> Result<(), NnError> {
     let in_elems = step.in_dims.iter().product::<usize>() * batch;
+    if Step::elementwise(&step.kind) && step.src != step.dst {
+        let (src, dst) = src_dst(slots, step.src, step.dst);
+        dst[..in_elems].copy_from_slice(&src[..in_elems]);
+    }
     match &mut step.kind {
         StepKind::Conv(conv) => {
             let (h, w) = (step.in_dims[1], step.in_dims[2]);
             let geom = ConvGeometry::square(h, w, conv.kernel, conv.stride, conv.padding);
-            let (out_h, out_w) = (geom.out_h(), geom.out_w());
-            let plane = out_h * out_w;
-            let (src, dst) = two_slots(slots, step.src, step.dst);
+            let plane = geom.out_h() * geom.out_w();
+            let (src, dst) = src_dst(slots, step.src, step.dst);
+            // The kernels take exact-length buffers; resizing the shared
+            // scratch within the capacity `ensure_batch` reserved is free.
+            let taps = conv.in_c * conv.kernel * conv.kernel;
+            scratch.cols.resize(taps * batch * plane, 0.0);
+            scratch.acc.resize(conv.out_c * batch * plane, 0.0);
             let (rows, cols) =
-                im2col_slices_into(&src[..in_elems], batch, conv.in_c, &geom, &mut conv.cols)?;
-            matmul_slices_into(&conv.w2d, &conv.cols, conv.out_c, rows, cols, &mut conv.acc)?;
+                im2col_slices_into(&src[..in_elems], batch, conv.in_c, &geom, &mut scratch.cols)?;
+            matmul_slices_into(
+                &conv.w2d,
+                &scratch.cols,
+                conv.out_c,
+                rows,
+                cols,
+                &mut scratch.acc,
+            )?;
             // Reorder [out_c, b*oh*ow] -> [b, out_c, oh, ow] adding bias —
             // exactly the loop of `Conv2d::forward`.
             if batch * plane > 0 {
-                for (co, src_chan) in conv.acc.chunks_exact(batch * plane).enumerate() {
+                for (co, src_chan) in scratch.acc.chunks_exact(batch * plane).enumerate() {
                     let bias_v = conv.bias[co];
                     for (b, src_row) in src_chan.chunks_exact(plane).enumerate() {
                         let start = (b * conv.out_c + co) * plane;
@@ -504,20 +584,36 @@ fn run_step(
             }
         }
         StepKind::Dense(dense) => {
-            let (src, dst) = two_slots(slots, step.src, step.dst);
+            let (src, dst) = src_dst(slots, step.src, step.dst);
+            scratch.acc.resize(batch * dense.out_f, 0.0);
             matmul_slices_into(
                 &src[..in_elems],
                 &dense.w,
                 batch,
                 dense.in_f,
                 dense.out_f,
-                &mut dense.acc,
+                &mut scratch.acc,
             )?;
             for b in 0..batch {
-                let row = &dense.acc[b * dense.out_f..(b + 1) * dense.out_f];
+                let row = &scratch.acc[b * dense.out_f..(b + 1) * dense.out_f];
                 let out_row = &mut dst[b * dense.out_f..(b + 1) * dense.out_f];
                 for ((o, &a), &bv) in out_row.iter_mut().zip(row).zip(&dense.bias) {
                     *o = a + bv;
+                }
+            }
+        }
+        StepKind::BatchNorm(bn) => {
+            // The eval arithmetic of `BatchNorm2d::forward`, unfolded.
+            let (c, plane) = (step.in_dims[0], step.in_dims[1] * step.in_dims[2]);
+            for (i, chan) in slots[step.dst][..in_elems]
+                .chunks_exact_mut(plane.max(1))
+                .enumerate()
+            {
+                let ch = i % c;
+                let (gamma, beta, mean) = (bn.gamma[ch], bn.beta[ch], bn.mean[ch]);
+                let std_inv = 1.0 / bn.std[ch];
+                for v in chan {
+                    *v = gamma * ((*v - mean) * std_inv) + beta;
                 }
             }
         }
@@ -527,59 +623,48 @@ fn run_step(
                 *v = if *v > 0.0 { *v } else { 0.0 };
             }
         }
-        StepKind::MaxPool { kernel, stride } => {
-            let (kernel, stride) = (*kernel, *stride);
+        StepKind::Merge { shortcut } => {
+            // `main + shortcut`, then the block's `v > 0.0` ReLU.
+            let (short, dst) = src_dst(slots, *shortcut, step.dst);
+            for (d, &s) in dst[..in_elems].iter_mut().zip(&short[..in_elems]) {
+                let v = *d + s;
+                *d = if v > 0.0 { v } else { 0.0 };
+            }
+        }
+        StepKind::Pool {
+            kernel,
+            stride,
+            max,
+        } => {
+            let (kernel, stride, max) = (*kernel, *stride, *max);
             let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
             let geom = ConvGeometry::square(h, w, kernel, stride, 0);
             let (oh, ow) = (geom.out_h(), geom.out_w());
-            let (src, dst) = two_slots(slots, step.src, step.dst);
+            let norm = 1.0 / (kernel * kernel) as f32;
+            let (src, dst) = src_dst(slots, step.src, step.dst);
             let src = &src[..in_elems];
+            // The loops of `MaxPool2d::forward` / `AvgPool2d::forward`.
             for b in 0..batch {
                 for ch in 0..c {
                     for y in 0..oh {
                         for x in 0..ow {
-                            let mut best = f32::NEG_INFINITY;
+                            let mut acc = if max { f32::NEG_INFINITY } else { 0.0 };
                             for ky in 0..kernel {
                                 for kx in 0..kernel {
                                     let iy = y * stride + ky;
                                     let ix = x * stride + kx;
                                     if iy < h && ix < w {
                                         let v = src[((b * c + ch) * h + iy) * w + ix];
-                                        if v > best {
-                                            best = v;
+                                        if !max {
+                                            acc += v;
+                                        } else if v > acc {
+                                            acc = v;
                                         }
                                     }
                                 }
                             }
-                            dst[((b * c + ch) * oh + y) * ow + x] = best;
-                        }
-                    }
-                }
-            }
-        }
-        StepKind::AvgPool { kernel, stride } => {
-            let (kernel, stride) = (*kernel, *stride);
-            let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
-            let geom = ConvGeometry::square(h, w, kernel, stride, 0);
-            let (oh, ow) = (geom.out_h(), geom.out_w());
-            let norm = 1.0 / (kernel * kernel) as f32;
-            let (src, dst) = two_slots(slots, step.src, step.dst);
-            let src = &src[..in_elems];
-            for b in 0..batch {
-                for ch in 0..c {
-                    for y in 0..oh {
-                        for x in 0..ow {
-                            let mut acc = 0.0f32;
-                            for ky in 0..kernel {
-                                for kx in 0..kernel {
-                                    let iy = y * stride + ky;
-                                    let ix = x * stride + kx;
-                                    if iy < h && ix < w {
-                                        acc += src[((b * c + ch) * h + iy) * w + ix];
-                                    }
-                                }
-                            }
-                            dst[((b * c + ch) * oh + y) * ow + x] = acc * norm;
+                            dst[((b * c + ch) * oh + y) * ow + x] =
+                                if max { acc } else { acc * norm };
                         }
                     }
                 }
@@ -588,7 +673,7 @@ fn run_step(
         StepKind::GlobalAvgPool => {
             let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
             let plane = (h * w) as f32;
-            let (src, dst) = two_slots(slots, step.src, step.dst);
+            let (src, dst) = src_dst(slots, step.src, step.dst);
             let src = &src[..in_elems];
             for b in 0..batch {
                 for ch in 0..c {
@@ -605,7 +690,7 @@ fn run_step(
             }
             let keep = 1.0 - *rate;
             let scale = (1.0 / keep) as f32;
-            let buf = &mut slots[step.dst][..in_elems];
+            let (buf, mask) = (&mut slots[step.dst][..in_elems], &mut scratch.mask);
             // Draw the mask exactly like `McDropout::sample_mask`:
             // filter-wise for NCHW (rank-3 per-sample dims), element-wise
             // otherwise — then multiply element by element. Shared-mask mode
@@ -732,11 +817,32 @@ mod tests {
     }
 
     #[test]
-    fn batchnorm_is_not_plannable() {
+    fn batchnorm_plan_matches_layer_chain_bitwise() {
         let mut net = Sequential::new("bn");
-        net.push(BatchNorm2d::new(2).unwrap());
-        let err = InferencePlan::compile(&net, &[2, 4, 4]).unwrap_err();
-        assert!(err.to_string().contains("batchnorm"));
+        net.push(Conv2d::new(2, 4, 3, 1, 1, 1).unwrap());
+        net.push(BatchNorm2d::new(4).unwrap());
+        net.push(Relu::new());
+        net.push(McDropout::new(0.5, 2).unwrap());
+        net.push(BatchNorm2d::new(4).unwrap());
+        let mut rng = Xoshiro256StarStar::seed_from_u64(13);
+        // A few training forwards move the running statistics off their
+        // defaults (mean 0, var 1).
+        for _ in 0..3 {
+            let x = Tensor::randn(&[4, 2, 6, 6], &mut rng).map(|v| 2.0 * v + 1.5);
+            net.forward(&x, Mode::Train).unwrap();
+        }
+        let x = Tensor::randn(&[3, 2, 6, 6], &mut rng);
+        let mut plan = InferencePlan::compile(&net, &[2, 6, 6]).unwrap();
+        let reference = net.forward(&x, Mode::Eval).unwrap();
+        let planned = plan.forward(&x, Mode::Eval).unwrap();
+        assert_eq!(reference.as_slice(), planned.as_slice());
+        for seed in [5u64, 6] {
+            Layer::reseed_mc_streams(&mut net, &mut SplitMix64::new(seed));
+            plan.reseed_mc(&mut SplitMix64::new(seed));
+            let reference = net.forward(&x, Mode::McSample).unwrap();
+            let planned = plan.forward(&x, Mode::McSample).unwrap();
+            assert_eq!(reference.as_slice(), planned.as_slice(), "seed {seed}");
+        }
     }
 
     #[test]

@@ -313,13 +313,14 @@ fn build(
         LayerLowering::Identity => {
             cursor.take(lowering.name())?;
         }
-        LayerLowering::Affine { scale, shift } => {
+        LayerLowering::Affine(bn) => {
             let record = cursor.take(lowering.name())?;
+            let (scale, shift) = bn.fold();
             let out = record
                 .out
                 .expect("affine records an output range")
                 .params(total_bits)?;
-            let aff = quantize_affine(scale, shift, *params, out);
+            let aff = quantize_affine(&scale, &shift, *params, out);
             ops.push(Op::Affine {
                 m: aff.m_values(*params, out),
                 b: aff.b_values(out),

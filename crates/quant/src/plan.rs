@@ -556,13 +556,14 @@ impl PlanBuilder {
                 let record = cursor.take(lowering.name())?;
                 *cur = self.alias_value(*cur, record.out_dims.clone());
             }
-            LayerLowering::Affine { scale, shift } => {
+            LayerLowering::Affine(bn) => {
                 let record = cursor.take(lowering.name())?;
+                let (scale, shift) = bn.fold();
                 let out = record
                     .out
                     .expect("affine records an output range")
                     .params(total_bits)?;
-                let aff = quantize_affine(scale, shift, *params, out);
+                let aff = quantize_affine(&scale, &shift, *params, out);
                 *cur = self.push(
                     StepKind::Affine(Box::new(PlanAffine {
                         m: aff.m,

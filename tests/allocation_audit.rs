@@ -243,3 +243,99 @@ fn adaptive_batched_predict_is_allocation_free_after_warmup() {
         );
     }
 }
+
+/// The float plan keeps the same guarantee on a plain conv net and on a
+/// batch-norm residual net: after `ensure_batch` and one warm-up call, the
+/// fixed-depth and the adaptive (mixed retire pattern) batched entry points
+/// perform zero heap allocations, at the max batch and below. The batches
+/// stay below the kernels' parallel thresholds, so every kernel runs inline
+/// and the calling thread's count is the whole story (the harness allocates
+/// on its own threads while this audit measures).
+#[test]
+fn float_plan_predict_is_allocation_free_after_warmup() {
+    let _guard = AUDIT_LOCK.lock().unwrap();
+    const MAX_BATCH: usize = 4;
+    let lenet = zoo::lenet5(
+        &ModelConfig::mnist()
+            .with_resolution(10, 10)
+            .with_width_divisor(8)
+            .with_classes(4),
+    );
+    let resnet = zoo::resnet18(
+        &ModelConfig::cifar10()
+            .with_resolution(12, 12)
+            .with_width_divisor(16),
+    );
+    let mut rng = Xoshiro256StarStar::seed_from_u64(23);
+    for (spec, in_dims) in [(lenet, [1, 10, 10]), (resnet, [3, 12, 12])] {
+        let network = spec
+            .with_exits_after_every_block()
+            .unwrap()
+            .with_exit_mcd(0.25)
+            .unwrap()
+            .build(3)
+            .unwrap();
+        let name = network.spec().name.clone();
+        let mut plan = network.compile_plan(&in_dims).unwrap();
+        plan.ensure_batch(MAX_BATCH);
+        let shape = |batch: usize| [batch, in_dims[0], in_dims[1], in_dims[2]];
+        let inputs = Tensor::randn(&shape(MAX_BATCH), &mut rng);
+        let small = Tensor::randn(&shape(MAX_BATCH - 2), &mut rng);
+        let mut out = Vec::new();
+        let mut exits = Vec::new();
+
+        // Fixed depth: warm up, then the same bits with zero allocations.
+        for x in [&inputs, &small] {
+            plan.predict_probs_batch_into(x, 6, 2023, &mut out).unwrap();
+            let warm = out.clone();
+            let before = alloc_counter::thread_allocation_count();
+            plan.predict_probs_batch_into(x, 6, 2023, &mut out).unwrap();
+            let allocations = alloc_counter::thread_allocation_count() - before;
+            assert_eq!(
+                allocations, 0,
+                "{name}: steady-state float predict allocated {allocations} time(s)"
+            );
+            assert_eq!(out, warm, "{name}: steady-state float result drifted");
+        }
+
+        // Adaptive: the midpoint of the batch's first-exit confidences
+        // retires some rows at exit 0 and compacts the rest.
+        let probe = ExitPolicy::Confidence { threshold: 0.0 };
+        plan.predict_adaptive_batch_into(&inputs, 6, 2023, &probe, &mut out, &mut exits)
+            .unwrap();
+        let confs: Vec<f32> = out
+            .chunks_exact(out.len() / MAX_BATCH)
+            .map(|r| r.iter().copied().fold(f32::NEG_INFINITY, f32::max))
+            .collect();
+        let min = confs.iter().copied().fold(f32::INFINITY, f32::min);
+        let max = confs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        assert!(min < max, "{name}: probe confidences are degenerate");
+        let policy = ExitPolicy::Confidence {
+            threshold: f64::from((min + max) / 2.0),
+        };
+        for x in [&inputs, &small] {
+            plan.predict_adaptive_batch_into(x, 6, 2023, &policy, &mut out, &mut exits)
+                .unwrap();
+            let (warm, warm_exits) = (out.clone(), exits.clone());
+            let before = alloc_counter::thread_allocation_count();
+            plan.predict_adaptive_batch_into(x, 6, 2023, &policy, &mut out, &mut exits)
+                .unwrap();
+            let allocations = alloc_counter::thread_allocation_count() - before;
+            assert_eq!(
+                allocations, 0,
+                "{name}: steady-state float adaptive predict allocated {allocations} time(s)"
+            );
+            assert_eq!(out, warm, "{name}: steady-state adaptive result drifted");
+            assert_eq!(
+                exits, warm_exits,
+                "{name}: steady-state exit choices drifted"
+            );
+        }
+        plan.predict_adaptive_batch_into(&inputs, 6, 2023, &policy, &mut out, &mut exits)
+            .unwrap();
+        assert!(
+            exits.contains(&0) && exits.iter().any(|&e| e != 0),
+            "{name}: retire pattern must be mixed for a meaningful audit: {exits:?}"
+        );
+    }
+}

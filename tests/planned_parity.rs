@@ -1,7 +1,7 @@
 //! Parity suite of compiled artifacts on a trained multi-exit LeNet-5: a
 //! calibration record shared across formats derives the same per-format
 //! float reference as a fresh calibration, and the sampler's planned float
-//! prediction path reproduces the layer-chain path bit for bit. (The integer
+//! prediction reproduces a spec-rebuilt replica's bit for bit. (The integer
 //! plan's own parity lives in `tests/hls_golden_sim.rs`, against the HLS
 //! simulator, and `tests/quantized_inference.rs`, against the fake-quant
 //! float reference.)
@@ -88,9 +88,9 @@ fn sampler_planned_path_matches_replica_prediction_bitwise() {
     // the executors differ, so this also pins the parallel fan-out (plan
     // clones as worker replicas) to the sequential single-plan loop.
     let planned = McSampler::new(SamplingConfig::new(8)).with_executor(Executor::new(4));
-    let layered = McSampler::new(SamplingConfig::new(8)).with_executor(Executor::sequential());
+    let sequential = McSampler::new(SamplingConfig::new(8)).with_executor(Executor::sequential());
     let a = planned.predict(&mut network, &eval).unwrap();
-    let b = layered.predict(&mut replica, &eval).unwrap();
+    let b = sequential.predict(&mut replica, &eval).unwrap();
     assert_eq!(a.mean_probs.as_slice(), b.mean_probs.as_slice());
     assert_eq!(a.per_sample.len(), b.per_sample.len());
     for (sa, sb) in a.per_sample.iter().zip(&b.per_sample) {

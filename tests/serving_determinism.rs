@@ -246,8 +246,9 @@ fn cached_plan_invalidation_is_safe_under_concurrent_prediction() {
 
 /// Serving determinism: one request stream, identical per-request outputs
 /// under every batching config and worker count (and bit-exact with direct
-/// single-sample plan calls), for both engines: the integer plan at 8.3 and
-/// the float plan.
+/// single-sample plan calls), for every engine: the integer plan at 8.3, the
+/// float LeNet-5 plan and the float ResNet-18 plan (batch norm and residual
+/// merges).
 #[test]
 fn server_outputs_are_invariant_to_batching_and_workers() {
     let network = small_lenet();
@@ -258,42 +259,77 @@ fn server_outputs_are_invariant_to_batching_and_workers() {
         .plan(FixedPointFormat::new(8, 3).unwrap())
         .unwrap();
     plan.set_executor(Executor::sequential());
-    let mut float_plan = network.compile_plan(&[1, 10, 10]).unwrap();
+    let resnet = zoo::resnet18(
+        &ModelConfig::cifar10()
+            .with_resolution(12, 12)
+            .with_width_divisor(16),
+    )
+    .with_exits_after_every_block()
+    .unwrap()
+    .with_exit_mcd(0.25)
+    .unwrap()
+    .build(3)
+    .unwrap();
 
-    let pool: Vec<Vec<f32>> = {
+    // Six request samples per input shape.
+    let request_pool = |in_dims: &[usize]| -> Vec<Vec<f32>> {
         let mut rng = Xoshiro256StarStar::seed_from_u64(41);
-        let data = Tensor::randn(&[6, 1, 10, 10], &mut rng);
+        let data = Tensor::randn(&[&[6][..], in_dims].concat(), &mut rng);
+        let per = data.len() / 6;
         data.as_slice()
-            .chunks_exact(100)
+            .chunks_exact(per)
             .map(<[f32]>::to_vec)
             .collect()
     };
+    let (lenet_dims, resnet_dims) = ([1, 10, 10], [3, 12, 12]);
+    let lenet_pool = request_pool(&lenet_dims);
+    let resnet_pool = request_pool(&resnet_dims);
     // Direct per-sample references through each engine's own plan.
-    let single = |s: &Vec<f32>| Tensor::from_vec(s.clone(), &[1, 1, 10, 10]).unwrap();
-    let quant_reference: Vec<Vec<f32>> = pool
-        .iter()
-        .map(|s| {
-            plan.predict_probs_batch(&single(s), MC_SAMPLES, MC_SEED)
-                .unwrap()
-                .as_slice()
-                .to_vec()
-        })
-        .collect();
-    let float_reference: Vec<Vec<f32>> = pool
-        .iter()
-        .map(|s| {
-            float_plan
-                .predict_probs_batch(&single(s), MC_SAMPLES, MC_SEED)
-                .unwrap()
-                .as_slice()
-                .to_vec()
-        })
-        .collect();
-    let quant_engine: Box<dyn BatchEngine> = Box::new(QuantEngine::new(plan));
-    let float_engine: Box<dyn BatchEngine> = Box::new(FloatEngine::new(float_plan));
+    let reference =
+        |pool: &[Vec<f32>], in_dims: &[usize], predict: &mut dyn FnMut(&Tensor) -> Tensor| {
+            let dims = [&[1][..], in_dims].concat();
+            pool.iter()
+                .map(|s| {
+                    predict(&Tensor::from_vec(s.clone(), &dims).unwrap())
+                        .as_slice()
+                        .to_vec()
+                })
+                .collect::<Vec<_>>()
+        };
+    let quant_reference = reference(&lenet_pool, &lenet_dims, &mut |x| {
+        plan.predict_probs_batch(x, MC_SAMPLES, MC_SEED).unwrap()
+    });
+    let mut lenet_plan = network.compile_plan(&lenet_dims).unwrap();
+    let lenet_reference = reference(&lenet_pool, &lenet_dims, &mut |x| {
+        lenet_plan
+            .predict_probs_batch(x, MC_SAMPLES, MC_SEED)
+            .unwrap()
+    });
+    let mut resnet_plan = resnet.compile_plan(&resnet_dims).unwrap();
+    let resnet_reference = reference(&resnet_pool, &resnet_dims, &mut |x| {
+        resnet_plan
+            .predict_probs_batch(x, MC_SAMPLES, MC_SEED)
+            .unwrap()
+    });
     let engines = [
-        ("quant 8.3", quant_engine, quant_reference),
-        ("float", float_engine, float_reference),
+        (
+            "quant 8.3",
+            Box::new(QuantEngine::new(plan)) as Box<dyn BatchEngine>,
+            &lenet_pool,
+            quant_reference,
+        ),
+        (
+            "float lenet5",
+            Box::new(FloatEngine::new(lenet_plan)),
+            &lenet_pool,
+            lenet_reference,
+        ),
+        (
+            "float resnet18",
+            Box::new(FloatEngine::new(resnet_plan)),
+            &resnet_pool,
+            resnet_reference,
+        ),
     ];
 
     let configs = [
@@ -301,7 +337,7 @@ fn server_outputs_are_invariant_to_batching_and_workers() {
         (2, 4, Duration::from_micros(500)),
         (3, 8, Duration::from_millis(2)),
     ];
-    for (engine_name, engine, reference) in &engines {
+    for (engine_name, engine, pool, reference) in &engines {
         for (workers, max_batch, max_delay) in configs {
             let server = InferenceServer::start(
                 engine.fork(),
@@ -318,7 +354,7 @@ fn server_outputs_are_invariant_to_batching_and_workers() {
             .unwrap();
             let outcome = replay(
                 &server,
-                &pool,
+                pool,
                 &ReplayConfig {
                     requests: 48,
                     rate_per_sec: 50_000.0,
